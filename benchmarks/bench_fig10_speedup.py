@@ -8,10 +8,16 @@ reducers handling the highest-resolution functions.
 Two reproductions of that protocol live here:
 
 * **Simulated** (``test_fig10_speedup_curves``): every task's wall time is
-  measured in a real single-process run of the three jobs, then replayed
+  taken from what a real serial ``Corpus`` run already records — the
+  per-partition ``IndexStats.scalar_seconds`` / ``feature_seconds`` of the
+  build (one task per (data set, resolution) partition) and each data set
+  pair's ``QueryResult.job_stats`` (one task per data set pair, the
+  granularity of the paper's relationship reducers) — then replayed
   through a Hadoop-style greedy scheduler for each cluster size; the
   speedup is T1 / Tn.  Stragglers emerge naturally from the heterogeneous
-  per-task times.
+  per-task times.  (``Corpus`` itself dispatches relationship work one
+  function pair per map task, which is why its measured runs do not
+  inherit the paper's relationship stragglers.)
 * **Measured** (``test_fig10b_measured_cluster_speedup``): the same
   indexing workload runs on *real* clusters of 1/2/4 localhost worker
   processes (``repro.distributed.local_cluster``), wall-clocked end to end
@@ -37,7 +43,7 @@ from repro.mapreduce.cluster import (
     speedup_curve,
     straggler_ratio,
 )
-from repro.mapreduce.pipeline import PolygamyPipeline
+from repro.mapreduce.job import JobStats
 from repro.synth import nyc_urban_collection
 from repro.temporal.resolution import TemporalResolution
 
@@ -51,25 +57,41 @@ MEASURED_SEED = 13
 
 
 @pytest.fixture(scope="module")
-def pipeline_run(urban_small, smoke):
-    pipeline = PolygamyPipeline(urban_small.city, chunks_per_dataset=8)
-    return pipeline.run(
-        urban_small.datasets,
-        n_permutations=20 if smoke else 60,
-        temporal=(TemporalResolution.DAY, TemporalResolution.WEEK),
-        seed=0,
+def component_stats(urban_small, smoke):
+    """Per-task timings of the three framework components, one serial run.
+
+    Scalar-function computation and feature identification are timed apart
+    inside every (data set, resolution) partition task of the build; a
+    relationship task is everything the query engine ran for one data set
+    pair.
+    """
+    index = Corpus(urban_small.datasets, urban_small.city).build_index(
+        temporal=(TemporalResolution.DAY, TemporalResolution.WEEK)
     )
+    partitions = list(index.partition_stats.values())
+    names = sorted(index.datasets)
+    pair_seconds = [
+        index.query(
+            [a], [b], n_permutations=20 if smoke else 60, seed=0
+        ).job_stats.total_task_seconds
+        for i, a in enumerate(names)
+        for b in names[i + 1 :]
+    ]
+    return {
+        "scalar functions": JobStats(
+            map_task_seconds=[p.scalar_seconds for p in partitions]
+        ),
+        "feature identification": JobStats(
+            map_task_seconds=[p.feature_seconds for p in partitions]
+        ),
+        "relationships": JobStats(map_task_seconds=pair_seconds),
+    }
 
 
-def test_fig10_speedup_curves(pipeline_run, benchmark, smoke):
+def test_fig10_speedup_curves(component_stats, benchmark, smoke):
     curves = {
-        "scalar functions": speedup_curve(pipeline_run.scalar_stats, NODE_COUNTS),
-        "feature identification": speedup_curve(
-            pipeline_run.feature_stats, NODE_COUNTS
-        ),
-        "relationships": speedup_curve(
-            pipeline_run.relationship_stats, NODE_COUNTS
-        ),
+        name: speedup_curve(stats, NODE_COUNTS)
+        for name, stats in component_stats.items()
     }
     print("\nFigure 10 — speedup vs. number of nodes (simulated cluster)")
     print(f"{'component':>24s} " + " ".join(f"n={n:<5d}" for n in NODE_COUNTS))
@@ -77,11 +99,10 @@ def test_fig10_speedup_curves(pipeline_run, benchmark, smoke):
         print(f"{name:>24s} " + " ".join(f"{curve[n]:<7.2f}" for n in NODE_COUNTS))
     print(
         "straggler ratios: "
-        f"scalar={straggler_ratio(pipeline_run.scalar_stats.map_task_seconds):.1f}, "
-        "features="
-        f"{straggler_ratio(pipeline_run.feature_stats.reduce_task_seconds):.1f}, "
-        "relationships="
-        f"{straggler_ratio(pipeline_run.relationship_stats.reduce_task_seconds):.1f}"
+        + ", ".join(
+            f"{name}={straggler_ratio(stats.map_task_seconds):.1f}"
+            for name, stats in component_stats.items()
+        )
     )
 
     for curve in curves.values():
@@ -96,7 +117,7 @@ def test_fig10_speedup_curves(pipeline_run, benchmark, smoke):
         assert curves["scalar functions"][20] >= curves["relationships"][20] - 1e-9
 
     benchmark.pedantic(
-        lambda: speedup_curve(pipeline_run.feature_stats, NODE_COUNTS),
+        lambda: speedup_curve(component_stats["feature identification"], NODE_COUNTS),
         iterations=5,
         rounds=3,
     )

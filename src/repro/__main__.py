@@ -126,39 +126,20 @@ def _cmd_update(args: argparse.Namespace) -> int:
     from .core.corpus import scope_whitelists
     from .incremental import apply_update, plan_update
     from .persist import read_manifest
-    from .spatial.resolution import SpatialResolution
 
     datasets, city = load_catalog(args.data)
     print(f"loaded {len(datasets)} data sets from {args.data}")
     corpus = Corpus(datasets, city)
 
     # Unless told otherwise, maintain the scope the index was built with —
-    # recorded in the manifest since format v2, so "all viable" survives as
-    # "all viable" (newly viable resolutions join, exactly like a fresh
-    # build) and a `--temporal day` restriction survives as itself.  Older
-    # manifests have no scope record; fall back to the resolutions present,
-    # which is the best reconstruction available.
+    # recorded in the manifest, so "all viable" survives as "all viable"
+    # (newly viable resolutions join, exactly like a fresh build) and a
+    # `--temporal day` restriction survives as itself.
     manifest = read_manifest(args.index)
     temporal = _parse_temporal(args.temporal)
-    if manifest.get("scope") is not None:
-        spatial, recorded_temporal = scope_whitelists(manifest["scope"])
-        if temporal is None:
-            temporal = recorded_temporal
-    else:
-        if temporal is None:
-            present = {
-                TemporalResolution(r["temporal"]) for r in manifest["partitions"]
-            }
-            temporal = tuple(sorted(present, key=lambda t: t.rank)) or None
-        spatial = (
-            tuple(
-                sorted(
-                    {SpatialResolution(r["spatial"]) for r in manifest["partitions"]},
-                    key=lambda s: s.rank,
-                )
-            )
-            or None
-        )
+    spatial, recorded_temporal = scope_whitelists(manifest["scope"])
+    if temporal is None:
+        temporal = recorded_temporal
     spatial_label = ", ".join(s.value for s in spatial) if spatial else "all viable"
     temporal_label = ", ".join(t.value for t in temporal) if temporal else "all viable"
     print(
@@ -738,7 +719,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command in ("worker", "top"):
         # Workers never act on driver-side observability flags: their spans,
         # metrics deltas, and profile samples travel back to the coordinator
-        # over the wire (protocol v2.2/v2.3), so a cluster worker spawned
+        # over the wire, so a cluster worker spawned
         # with $REPRO_TRACE / $REPRO_PROFILE / $REPRO_METRICS_PORT inherited
         # from the driver must not race it for the same output path or
         # listen port.  `top` is a pure reader of another process's

@@ -39,6 +39,8 @@ from typing import Any
 from .. import obs
 from ..data.aggregation import FunctionSpec, aggregate, default_specs
 from ..data.dataset import Dataset
+from ..mapreduce.engine import default_engine
+from ..mapreduce.job import Engine, JobStats, MapReduceJob
 from ..spatial.city import CityModel
 from ..spatial.resolution import SpatialResolution, viable_spatial_resolutions
 from ..temporal.resolution import TemporalResolution, viable_temporal_resolutions
@@ -58,12 +60,6 @@ from .operator import (
 )
 from .scalar_function import ScalarFunction
 from .significance import SIGNIFICANCE_MODES
-
-# Imported after the core modules above: repro.mapreduce.__init__ pulls in
-# pipeline.py, which imports repro.core.operator — already materialized at
-# this point, so the import is cycle-free.
-from ..mapreduce.engine import default_engine
-from ..mapreduce.job import Engine, JobStats, MapReduceJob
 
 
 @dataclass
@@ -277,8 +273,7 @@ def resolution_scope(
     """JSON-serializable form of a pair of resolution whitelists.
 
     ``None`` per axis means "every viable resolution" — a meaningful scope
-    of its own (new resolutions join on update), distinct from *unknown*
-    (a v1 index, whose whole scope is ``None``).
+    of its own (new resolutions join on update).
     """
     return {
         "spatial": None if spatial is None else [s.value for s in spatial],
@@ -287,14 +282,12 @@ def resolution_scope(
 
 
 def scope_whitelists(
-    scope: dict | None,
+    scope: dict,
 ) -> tuple[
     tuple[SpatialResolution, ...] | None,
     tuple[TemporalResolution, ...] | None,
 ]:
-    """Inverse of :func:`resolution_scope`; ``None`` scope -> (None, None)."""
-    if not scope:
-        return None, None
+    """Inverse of :func:`resolution_scope`."""
     spatial = scope.get("spatial")
     temporal = scope.get("temporal")
     return (
@@ -384,8 +377,8 @@ class Corpus:
                 index.datasets[name] = ds_index
 
             # Content fingerprints per (data set, resolution) partition:
-            # persisted with the index (format v2) so `repro update` can later
-            # prove which partitions are reusable.  Lazy import:
+            # persisted with the index so `repro update` can later prove
+            # which partitions are reusable.  Lazy import:
             # repro.incremental imports this module at its own top level.
             from ..incremental.fingerprint import fingerprints_for_inputs
 
@@ -472,16 +465,15 @@ class CorpusIndex:
     #: Per-partition §5.4 bookkeeping, keyed ``(dataset, spatial, temporal)``:
     #: each partition's own IndexStats contribution (``raw_bytes`` excluded —
     #: that is per data set) and its content fingerprint.  Persisted with the
-    #: index (format v2) and restored by :meth:`load`; empty for indexes
-    #: loaded from v1 directories.
+    #: index and restored by :meth:`load`.
     partition_stats: dict[Any, IndexStats] = field(default_factory=dict)
     partition_fingerprints: dict[Any, str] = field(default_factory=dict)
     #: The resolution whitelists the index was built with, as
     #: ``{"spatial": [values]|None, "temporal": [values]|None}`` (None =
-    #: every viable resolution).  Persisted (format v2) so ``repro update``
-    #: maintains exactly the scope that was asked for — including "all
-    #: viable", under which newly viable resolutions are *added* on update
-    #: just as a fresh build would include them.  None for v1 indexes.
+    #: every viable resolution).  Persisted so ``repro update`` maintains
+    #: exactly the scope that was asked for — including "all viable", under
+    #: which newly viable resolutions are *added* on update just as a fresh
+    #: build would include them.  Set by ``build_index`` and :meth:`load`.
     scope: dict | None = None
 
     def dataset_index(self, name: str) -> DatasetIndex:

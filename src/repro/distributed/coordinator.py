@@ -14,11 +14,11 @@ work-stealing* scheduler (``docs/ARCHITECTURE.md`` has the full picture,
 * steal granularity adapts to measured task throughput: the coordinator
   keeps a per-job-class estimate of seconds-per-input from previous runs
   and sizes task chunks toward :data:`TARGET_TASK_SECONDS` apiece,
-* the shuffle is *overlapped*: each map result is folded into per-key,
-  tag-ordered buckets the moment it lands, so by the time the last map task
-  finishes the shuffle is already done and reduce tasks dispatch
-  immediately — no barrier wave.  The fold is order-insensitive (buckets
-  are tag-sorted and keys ordered by minimal tag at finalization), which
+* the shuffle is *overlapped*: each map result is folded into the run's
+  :class:`~repro.mapreduce.engine.ShuffleFolder` the moment it lands, so by
+  the time the last map task finishes the shuffle is already done and
+  reduce tasks dispatch immediately — no barrier wave.  The fold is
+  order-insensitive (the very folder the local engine shuffles with), which
   keeps grouped values — and therefore reduce outputs — bit-identical to
   serial no matter which host ran which task or in which order results
   arrived,
@@ -58,11 +58,12 @@ from pathlib import Path
 from typing import Any
 
 from .. import obs
-from ..mapreduce.engine import LocalEngine
+from ..mapreduce.engine import LocalEngine, ShuffleFolder, task_error
 from ..mapreduce.job import JobStats, MapReduceJob
-from ..utils.errors import ClusterUnavailableError, MapReduceError, ReproError
+from ..mapreduce.plane import DEFAULT_MIN_BYTES, dumps
+from ..utils.errors import ClusterUnavailableError, MapReduceError
 from . import faults, protocol
-from .dataplane import DEFAULT_MIN_BYTES, ArtifactPlane, dumps
+from .dataplane import ArtifactPlane
 from .faults import FaultPlan
 from .retry import Backoff
 from .protocol import (
@@ -238,7 +239,7 @@ class _RunState:
 
     The scheduler has no phase barrier: ``queue`` holds whatever is
     currently stealable (map tasks, then — the moment the last map result
-    lands — reduce tasks), and ``groups`` accumulates the overlapped
+    lands — reduce tasks), and ``folder`` accumulates the overlapped
     shuffle as map results arrive.
     """
 
@@ -247,14 +248,12 @@ class _RunState:
         run_id: str,
         job: MapReduceJob,
         plane: ArtifactPlane,
-        streaming: bool,
         prefetch_depth: int = DEFAULT_PREFETCH_DEPTH,
         deadline: float | None = DEFAULT_TASK_DEADLINE,
     ) -> None:
         self.run_id = run_id
         self.job = job
         self.plane = plane
-        self.streaming = streaming
         self.prefetch_depth = prefetch_depth
         #: Per-task execution deadline (seconds of grant-to-result silence
         #: tolerated per worker); ``None`` disables the check.
@@ -270,12 +269,8 @@ class _RunState:
         #: are flattened in this order, never in completion order.
         self.reduce_order: list[int] = []
         self.reduce_emitted: dict[int, list] = {}
-        #: Overlapped shuffle: key -> list of (tag, value), appended as map
-        #: results land, tag-sorted at finalization.  Insertion order of
-        #: this dict is arrival order and deliberately never consulted.
-        self.groups: dict[Any, list[tuple[Any, Any]]] = {}
-        #: Barrier mode (``streaming_reduce=False``): raw emitted lists.
-        self.map_raw: list[list] = []
+        #: Overlapped shuffle: map results are folded in as they land.
+        self.folder = ShuffleFolder()
         self.fold_seconds = 0.0
         self.map_inputs_done = 0
         self.map_seconds_done = 0.0
@@ -320,11 +315,9 @@ class Coordinator:
         spool_dir: str | Path | None = None,
         heartbeat_interval: float = HEARTBEAT_INTERVAL,
         heartbeat_timeout: float = HEARTBEAT_TIMEOUT,
-        registration_timeout: float = REGISTRATION_TIMEOUT,
     ) -> None:
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
-        self.registration_timeout = registration_timeout
         # Env-steered chaos (CI): a REPRO_FAULT_PLAN in the environment
         # arms this process's hooks under the coordinator role.
         faults.install_from_env(role="coordinator")
@@ -360,7 +353,7 @@ class Coordinator:
         #: (task kind + input label), surfaced on ``/healthz``.
         self.quarantined_inputs: list[str] = []
         #: Fleet metrics view: per-worker registry replicas folded from
-        #: the v2.3 heartbeat deltas (advisory telemetry only).
+        #: the heartbeat deltas (advisory telemetry only).
         self.fleet = obs.FleetAggregator()
         self._run_seq = 0
         try:
@@ -399,7 +392,7 @@ class Coordinator:
 
     def _register(self, conn: socket.socket) -> None:
         try:
-            conn.settimeout(self.registration_timeout)
+            conn.settimeout(REGISTRATION_TIMEOUT)
             protocol.recv_preamble(conn)
             protocol.send_preamble(conn)
             hello = protocol.recv_msg(conn)
@@ -506,13 +499,11 @@ class Coordinator:
                 )
                 if isinstance(message, Heartbeat):
                     handle.last_heartbeat = time.monotonic()
-                    # v2.3 piggyback (getattr: a v2.2 worker's Heartbeat
-                    # pickles without the field).  Advisory only — a
-                    # malformed or duplicate delta is dropped, and
-                    # heartbeats still never advance ``last_progress``.
-                    delta = getattr(message, "metrics", None)
-                    if delta is not None and self.fleet.apply(
-                        handle.worker_id, delta
+                    # Metrics piggyback.  Advisory only — a malformed or
+                    # duplicate delta is dropped, and heartbeats still
+                    # never advance ``last_progress``.
+                    if message.metrics is not None and self.fleet.apply(
+                        handle.worker_id, message.metrics
                     ):
                         obs.counter(
                             "repro.cluster.metrics_deltas",
@@ -589,7 +580,13 @@ class Coordinator:
                 return
             if message.status == "err":
                 if run.error is None:
-                    run.error = self._job_error(message, handle, state.kind)
+                    run.error = task_error(
+                        state.kind,
+                        f"on cluster worker {handle.worker_id!r} "
+                        f"(host {handle.host})",
+                        message.traceback,
+                        message.original,
+                    )
                 run.cond.notify_all()
                 return
             state.done = True
@@ -599,31 +596,22 @@ class Coordinator:
             )
             if run.trace_enabled:
                 self._record_task_spans(run, handle, message, state.kind)
-            if run.profile_enabled:
-                # v2.3: fold the task's worker-side samples into the
-                # driver profile, rooted under the worker's id so fleet
-                # stacks stay distinguishable.  No-op if the driver's
-                # profiler already ended.
-                counts = getattr(message, "profile", None)
-                if counts:
-                    obs.active_profiler().add_counts(
-                        counts, prefix=f"worker:{handle.worker_id}"
-                    )
+            if run.profile_enabled and message.profile:
+                # Fold the task's worker-side samples into the driver
+                # profile, rooted under the worker's id so fleet stacks
+                # stay distinguishable.  No-op if the driver's profiler
+                # already ended.
+                obs.active_profiler().add_counts(
+                    message.profile, prefix=f"worker:{handle.worker_id}"
+                )
             if state.kind == "map":
                 run.map_remaining -= 1
                 run.map_inputs_done += state.n_inputs
                 run.map_seconds_done += message.seconds
+                # Overlapped shuffle: fold this map output in now, while
+                # other map tasks still run.
                 start = time.perf_counter()
-                if run.streaming:
-                    # Overlapped shuffle: fold this map output into the
-                    # per-key buckets now, while other map tasks still run.
-                    for tag, key, value in message.result:
-                        bucket = run.groups.get(key)
-                        if bucket is None:
-                            run.groups[key] = bucket = []
-                        bucket.append((tag, value))
-                else:
-                    run.map_raw.append(message.result)
+                run.folder.add(message.result)
                 fold_delta = time.perf_counter() - start
                 run.fold_seconds += fold_delta
                 obs.record_span(
@@ -667,7 +655,7 @@ class Coordinator:
             track=track,
             attrs={"task_id": message.task_id, "worker": handle.worker_id},
         )
-        for name, offset, duration, attrs in getattr(message, "spans", ()) or ():
+        for name, offset, duration, attrs in message.spans:
             trace.add_span(
                 name,
                 task_start + offset,
@@ -678,26 +666,9 @@ class Coordinator:
             )
 
     def _seed_reduce_locked(self, run: _RunState) -> None:
-        """Finalize the shuffle and enqueue reduce tasks (run.cond held).
-
-        Streaming mode sorts each bucket by tag and orders keys by their
-        minimal tag — exactly the grouping :meth:`LocalEngine.shuffle`
-        produces from the concatenated map outputs, independent of the
-        order map results arrived in.
-        """
+        """Finalize the shuffle and enqueue reduce tasks (run.cond held)."""
         start = time.perf_counter()
-        if run.streaming:
-            entries = []
-            for key, bucket in run.groups.items():
-                bucket.sort(key=lambda tagged: tagged[0])
-                entries.append((bucket[0][0], key, [value for _, value in bucket]))
-            entries.sort(key=lambda entry: entry[0])
-            grouped = [(key, values) for _, key, values in entries]
-        else:
-            groups = LocalEngine.shuffle(
-                pair for emitted in run.map_raw for pair in emitted
-            )
-            grouped = list(groups.items())
+        grouped = run.folder.finalize()
         finalize_delta = time.perf_counter() - start
         run.fold_seconds += finalize_delta
         obs.record_span(
@@ -869,7 +840,6 @@ class Coordinator:
         run_id: str,
         granularity: int | str = "auto",
         prefetch_depth: int = DEFAULT_PREFETCH_DEPTH,
-        streaming_reduce: bool = True,
         task_deadline: float | None = DEFAULT_TASK_DEADLINE,
     ) -> tuple[list[tuple[Any, Any]], JobStats, int]:
         """Schedule one job end to end; returns (outputs, stats, retries).
@@ -892,7 +862,7 @@ class Coordinator:
             "cluster.run_job", run_id=run_id, job=type(job).__name__
         ) as run_span:
             run = self._start_run(
-                job, inputs, plane, run_id, granularity, streaming_reduce,
+                job, inputs, plane, run_id, granularity,
                 max(1, prefetch_depth), task_deadline,
             )
             run.span_id = run_span.span_id
@@ -972,16 +942,13 @@ class Coordinator:
         plane: ArtifactPlane,
         run_id: str,
         granularity: int | str,
-        streaming_reduce: bool,
         prefetch_depth: int,
         task_deadline: float | None = DEFAULT_TASK_DEADLINE,
     ) -> _RunState:
         size = self._resolve_granularity(job, len(inputs), granularity)
         indexed = list(enumerate(inputs))
         chunks = [indexed[lo : lo + size] for lo in range(0, len(indexed), size)]
-        run = _RunState(
-            run_id, job, plane, streaming_reduce, prefetch_depth, task_deadline
-        )
+        run = _RunState(run_id, job, plane, prefetch_depth, task_deadline)
         for task_id, chunk in enumerate(chunks):
             payload = dumps(("map", job, chunk), plane)
             run.tasks[task_id] = _TaskState(
@@ -1026,27 +993,6 @@ class Coordinator:
         handle.close()
         with self._cond:
             self._cond.notify_all()
-
-    @staticmethod
-    def _job_error(
-        result: TaskResult, handle: WorkerHandle, phase: str
-    ) -> BaseException:
-        """Build the caller-facing exception for a failed (not lost) task.
-
-        Same contract as the process executor: :class:`ReproError`
-        subclasses re-raise as themselves with the worker traceback as the
-        cause; everything else becomes a :class:`MapReduceError` carrying
-        the original traceback.
-        """
-        context = MapReduceError(
-            f"{phase} task failed on cluster worker "
-            f"{handle.worker_id!r} (host {handle.host}); original "
-            f"traceback:\n{result.traceback}"
-        )
-        if isinstance(result.original, ReproError):
-            result.original.__cause__ = context
-            return result.original
-        return context
 
     # -- live observability --------------------------------------------------
 
@@ -1200,10 +1146,6 @@ class ClusterEngine:
         Minimum number of registered workers to wait for before the first
         dispatch.  All connected workers are used, including ones that
         join mid-run.
-    map_chunk_size:
-        Back-compat alias for ``steal_granularity`` (used only when the
-        latter is left at ``"auto"``): ``None`` → granularity 1, an int →
-        that fixed granularity, ``"auto"`` → adaptive.
     steal_granularity:
         Inputs per stealable map task.  ``"auto"`` (default) sizes tasks
         from measured per-input seconds of previous runs of the same job
@@ -1211,11 +1153,6 @@ class ClusterEngine:
     prefetch_depth:
         Tasks a worker keeps in flight: one computing, the rest
         prefetching their payload artifacts (data plane overlaps compute).
-    streaming_reduce:
-        ``True`` (default) folds map outputs into the shuffle as they land
-        and dispatches reduce tasks the moment the last map result arrives;
-        ``False`` keeps the conservative full map barrier.  Both are
-        bit-identical to serial.
     min_artifact_bytes:
         Arrays at least this large ship through the artifact data plane
         instead of the per-task pickle.
@@ -1237,14 +1174,14 @@ class ClusterEngine:
         and poison tasks never fall back — they would fail anywhere.
     heartbeat_interval:
         Seconds between worker heartbeats, announced to every worker in
-        the registration ``Welcome``.  Metrics deltas ship on heartbeats
-        (v2.3), so this is also the fleet-telemetry refresh cadence.
+        the registration ``Welcome``.  Metrics deltas ship on heartbeats,
+        so this is also the fleet-telemetry refresh cadence.
         Must be > 0 and below ``heartbeat_timeout``.
-    heartbeat_timeout / registration_timeout:
-        Connection liveness knobs.  Like ``heartbeat_interval``, applied
-        to this engine's *private* coordinator (a ``shared=True`` engine
-        reuses the process-wide coordinator and its existing cadence and
-        timeouts).
+    heartbeat_timeout:
+        Seconds of connection silence after which a worker is declared
+        lost.  Like ``heartbeat_interval``, applied to this engine's
+        *private* coordinator (a ``shared=True`` engine reuses the
+        process-wide coordinator and its existing cadence and timeout).
     """
 
     executor = "cluster"
@@ -1253,29 +1190,21 @@ class ClusterEngine:
         self,
         bind: str = DEFAULT_BIND,
         n_workers: int = 1,
-        map_chunk_size: int | str | None = "auto",
         min_artifact_bytes: int = DEFAULT_MIN_BYTES,
         connect_timeout: float = CONNECT_TIMEOUT,
         shared: bool = False,
         steal_granularity: int | str = "auto",
         prefetch_depth: int = DEFAULT_PREFETCH_DEPTH,
-        streaming_reduce: bool = True,
         task_deadline: float | None = DEFAULT_TASK_DEADLINE,
         fallback: str | None = None,
         heartbeat_interval: float = HEARTBEAT_INTERVAL,
         heartbeat_timeout: float = HEARTBEAT_TIMEOUT,
-        registration_timeout: float = REGISTRATION_TIMEOUT,
     ) -> None:
         self._bind_host, self._bind_port = protocol.parse_address(bind, variable="bind")
         if not isinstance(n_workers, int) or n_workers < 1:
             raise MapReduceError(
                 f"n_workers must be an integer >= 1, got {n_workers!r}"
             )
-        if map_chunk_size is not None and map_chunk_size != "auto":
-            if not isinstance(map_chunk_size, int) or map_chunk_size < 1:
-                raise MapReduceError(
-                    "map_chunk_size must be a positive int, 'auto' or None"
-                )
         if steal_granularity != "auto":
             if not isinstance(steal_granularity, int) or steal_granularity < 1:
                 raise MapReduceError(
@@ -1306,10 +1235,8 @@ class ClusterEngine:
                 "is declared lost between beats"
             )
         self.n_workers = n_workers
-        self.map_chunk_size = map_chunk_size
         self.steal_granularity = steal_granularity
         self.prefetch_depth = prefetch_depth
-        self.streaming_reduce = streaming_reduce
         self.min_artifact_bytes = min_artifact_bytes
         self.connect_timeout = connect_timeout
         self.shared = shared
@@ -1317,7 +1244,6 @@ class ClusterEngine:
         self.fallback = fallback
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
-        self.registration_timeout = registration_timeout
         self._coordinator: Coordinator | None = None
         self._assembled = False
         # Numeric run accounting lives in the metrics registry; the old
@@ -1363,7 +1289,6 @@ class ClusterEngine:
                     port=self._bind_port,
                     heartbeat_interval=self.heartbeat_interval,
                     heartbeat_timeout=self.heartbeat_timeout,
-                    registration_timeout=self.registration_timeout,
                 )
             # Engine-level health (fallback state) rides on the exporter
             # the coordinator may have just started from the environment.
@@ -1398,16 +1323,6 @@ class ClusterEngine:
             timeout if timeout is not None else self.connect_timeout,
         )
 
-    def _granularity_spec(self) -> int | str:
-        """Translate the engine's knobs into the coordinator's granularity."""
-        if self.steal_granularity != "auto":
-            return self.steal_granularity
-        if self.map_chunk_size is None:
-            return 1
-        if isinstance(self.map_chunk_size, int):
-            return self.map_chunk_size
-        return "auto"
-
     def run(
         self, job: MapReduceJob, inputs: Iterable[tuple[Any, Any]]
     ) -> tuple[list[tuple[Any, Any]], JobStats]:
@@ -1422,13 +1337,20 @@ class ClusterEngine:
         unchanged — they would fail on any executor.
         """
         input_list = list(inputs)
-        if not input_list:
-            return [], JobStats()
+        # Every run reports on itself alone: an empty or downgraded run must
+        # not inherit its predecessor's steals, retries or fallback reason.
         self.last_run_fallback = None
+        self.last_run_retries = 0
+        self.last_run_worker_tasks = {}
+        self.last_run_worker_steals = {}
+        self._last_n_artifacts = 0
         wall_start = time.perf_counter()
         served_before = obs.counter("repro.dataplane.served_bytes").value
         try:
-            outputs, stats = self._run_on_cluster(job, input_list)
+            if input_list:
+                outputs, stats = self._run_on_cluster(job, input_list)
+            else:  # nothing to schedule: no worker is awaited or asked
+                outputs, stats = [], JobStats()
         except ClusterUnavailableError as exc:
             if self.fallback is None:
                 raise
@@ -1446,21 +1368,20 @@ class ClusterEngine:
             )
             outputs, stats = local.run(job, input_list)
         stats.wall_seconds = time.perf_counter() - wall_start
-        on_cluster = self.last_run_fallback is None
         report = obs.RunReport.from_stats(
             stats,
             job=type(job).__name__,
             executor="cluster",
             n_workers=self.n_workers,
-            shuffle_overlapped=self.streaming_reduce and on_cluster,
-            worker_tasks=dict(self.last_run_worker_tasks) if on_cluster else {},
-            worker_steals=dict(self.last_run_worker_steals) if on_cluster else {},
-            retries=self.last_run_retries if on_cluster else 0,
+            shuffle_overlapped=self.last_run_fallback is None,
+            worker_tasks=dict(self.last_run_worker_tasks),
+            worker_steals=dict(self.last_run_worker_steals),
+            retries=self.last_run_retries,
             fallback=self.last_run_fallback,
             bytes_served=(
                 obs.counter("repro.dataplane.served_bytes").value - served_before
             ),
-            n_artifacts=self._last_n_artifacts if on_cluster else 0,
+            n_artifacts=self._last_n_artifacts,
         )
         self.last_run_report = report
         trace = obs.current_trace()
@@ -1490,13 +1411,12 @@ class ClusterEngine:
                 input_list,
                 plane,
                 run_id,
-                granularity=self._granularity_spec(),
+                granularity=self.steal_granularity,
                 prefetch_depth=self.prefetch_depth,
-                streaming_reduce=self.streaming_reduce,
                 task_deadline=self.task_deadline,
             )
+            self._last_n_artifacts = plane.n_arrays
         finally:
-            self._last_n_artifacts = plane.n_artifacts
             plane.close()
             coordinator.end_run(run_id)
         self.last_run_retries = retries
@@ -1583,7 +1503,6 @@ def spawn_local_worker(
 @contextlib.contextmanager
 def local_cluster(
     n_hosts: int,
-    map_chunk_size: int | str | None = "auto",
     min_artifact_bytes: int = DEFAULT_MIN_BYTES,
     retry_seconds: float = 30.0,
     startup_timeout: float = 60.0,
@@ -1601,7 +1520,7 @@ def local_cluster(
     ``worker_env`` optionally gives per-host environment overrides (index-
     aligned with host numbering), which the straggler tests use to slow
     one worker down.  Extra keyword arguments reach the engine (e.g.
-    ``steal_granularity=1`` or ``streaming_reduce=False``).
+    ``steal_granularity=1``).
 
     ``fault_plan`` (a :class:`~repro.distributed.faults.FaultPlan` or its
     string encoding) arms the fault-injection harness *everywhere*: in this
@@ -1623,7 +1542,6 @@ def local_cluster(
     engine = ClusterEngine(
         bind="127.0.0.1:0",
         n_workers=n_hosts,
-        map_chunk_size=map_chunk_size,
         min_artifact_bytes=min_artifact_bytes,
         shared=False,
         **engine_kwargs,

@@ -1,19 +1,11 @@
-"""Artifact data plane: ship each large array once per (worker, run).
+"""Spool + socket transport of the array plane (the cluster backend).
 
-The remote counterpart of the shared-memory plane
-(:mod:`repro.mapreduce.shm`).  Both planes solve the same problem — task
-payloads that reference the same large NumPy matrix over and over (every
-function pair of a query references its two value matrices) must not
-serialize it per task — and both solve it the same way: a pickler detours
-eligible arrays into out-of-band *artifacts*, replacing them with tiny
-references; an unpickler on the other side resolves references back into
-read-only arrays.
-
-Where the shm plane uses ``multiprocessing.shared_memory`` segments, this
-plane uses **persisted-partition artifacts**: each distinct array is written
-once per run as a ``.npy`` file in the coordinator's spool directory (the
-same dedup-by-identity discipline, keyed on ``id(array)`` with a keepalive
-pin).  Workers resolve a reference through two transports, cheapest first:
+:class:`ArtifactPlane` is the :class:`~repro.mapreduce.plane.ArrayPlane`
+whose store is a **persisted-partition artifact**: each distinct array is
+written once per run as a ``.npy`` file in the coordinator's spool
+directory.  Dedup, eligibility and the pickler are the plane's
+(:mod:`repro.mapreduce.plane`); this module adds the two ways a worker
+resolves a reference, cheapest first:
 
 1. **Spool directory** — when the worker shares a filesystem with the
    coordinator (localhost clusters, NFS), it memory-maps the spool file
@@ -21,17 +13,14 @@ pin).  Workers resolve a reference through two transports, cheapest first:
    worker, and never crosses the socket at all.
 2. **Socket** — otherwise the worker pulls the ``.npy`` bytes over its
    coordinator connection (an :class:`~repro.distributed.protocol.ArtifactRequest`
-   / :class:`~repro.distributed.protocol.Artifact` exchange) and caches the
-   decoded array for the rest of the run: once per (worker, run).
+   / :class:`~repro.distributed.protocol.Artifact` exchange), verifies them
+   against the SHA-256 in the reference, and caches the decoded array for
+   the rest of the run: once per (worker, run).
 
 Resolved arrays are read-only (memory-maps are opened ``mmap_mode="r"``,
-fetched arrays have ``writeable`` cleared), mirroring the shm plane: map
-tasks must treat inputs as immutable, and an accidental in-place mutation
-must be a loud error rather than a silent cross-host divergence.
-
-The plane is transport only — it never changes *what* is computed — so the
-engine's bit-identical serial/cluster guarantee rests on ``np.save`` /
-``np.load`` round-tripping array bytes exactly, which they do.
+fetched arrays have ``writeable`` cleared).  The engine's bit-identical
+serial/cluster guarantee rests on ``np.save`` / ``np.load`` round-tripping
+array bytes exactly, which they do.
 """
 
 from __future__ import annotations
@@ -39,42 +28,31 @@ from __future__ import annotations
 import hashlib
 import io
 import os
-import pickle
 import threading
 from pathlib import Path
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
 from .. import obs
+from ..mapreduce.plane import DEFAULT_MIN_BYTES, ArrayPlane
 from ..utils.errors import MapReduceError
 from . import faults
+from .protocol import WireError
 from .retry import Backoff
-
-#: Arrays below this many bytes travel inside the task pickle: a spool file
-#: and a potential socket round trip only pay off for matrices of real size.
-#: Matches the shm plane's threshold so the two executors promote the same
-#: arrays.
-DEFAULT_MIN_BYTES = 32 * 1024
 
 #: How many times a worker fetches an artifact over the socket before the
 #: task fails: a transient loss or a checksum mismatch is retried (with
 #: full-jitter backoff), persistent corruption fails fast and typed.
 FETCH_ATTEMPTS = 3
 
-#: Tag marking a persistent id as one of ours (defensive: ``persistent_load``
-#: must reject foreign pids instead of fabricating arrays from garbage).
-_PID_TAG = "repro.distributed.dataplane"
 
+class ArtifactPlane(ArrayPlane):
+    """The array plane over the coordinator's spool directory.
 
-class ArtifactPlane:
-    """Coordinator-side owner of one run's artifacts.
-
-    Registers each distinct eligible array once (dedup by ``id``, with a
-    keepalive pin so a freed array's id cannot be recycled into a stale
-    cache hit), writing it to ``spool_dir`` as ``<run_id>-aNNNNN.npy``.
-    ``close()`` deletes every file; the engine calls it in a ``finally``
-    block, so failed runs clean up too.
+    Each distinct eligible array is written to ``spool_dir`` as
+    ``<run_id>-aNNNNN.npy``.  ``close()`` deletes every file; the engine
+    calls it in a ``finally`` block, so failed runs clean up too.
     """
 
     def __init__(
@@ -83,33 +61,14 @@ class ArtifactPlane:
         run_id: str,
         min_bytes: int = DEFAULT_MIN_BYTES,
     ) -> None:
-        if min_bytes < 1:
-            raise MapReduceError("artifact min_bytes must be >= 1")
+        super().__init__(min_bytes)
         self.spool_dir = Path(spool_dir)
         self.run_id = run_id
-        self.min_bytes = min_bytes
-        self._refs: dict[int, tuple] = {}
         self._paths: dict[str, Path] = {}
         self._sums: dict[str, str] = {}
-        self._keepalive: list[np.ndarray] = []
-        self.closed = False
 
-    @property
-    def n_artifacts(self) -> int:
-        """Number of distinct arrays promoted to artifacts."""
-        return len(self._paths)
-
-    def eligible(self, obj: Any) -> bool:
-        """True when ``obj`` is an array worth promoting to an artifact."""
-        return (
-            isinstance(obj, np.ndarray)
-            and obj.dtype != object
-            and not obj.dtype.hasobject
-            and obj.nbytes >= self.min_bytes
-        )
-
-    def register(self, array: np.ndarray) -> tuple:
-        """Write ``array`` to the spool (once) and return its reference.
+    def _store(self, array: np.ndarray) -> tuple:
+        """Write ``array`` to the spool.
 
         The reference is a small picklable tuple
         ``(name, dtype_str, shape, spool_path, sha256)`` — the digest is
@@ -117,12 +76,6 @@ class ArtifactPlane:
         *task pickle* (not the artifact frame) vouches for the bytes a
         worker fetches over the socket.
         """
-        if self.closed:
-            raise MapReduceError("artifact plane is already closed")
-        key = id(array)
-        ref = self._refs.get(key)
-        if ref is not None:
-            return ref
         name = f"{self.run_id}-a{len(self._paths):05d}"
         path = self.spool_dir / f"{name}.npy"
         self.spool_dir.mkdir(parents=True, exist_ok=True)
@@ -136,10 +89,7 @@ class ArtifactPlane:
                 digest.update(block)
         self._paths[name] = path
         self._sums[name] = digest.hexdigest()
-        ref = (name, array.dtype.str, array.shape, str(path), self._sums[name])
-        self._refs[key] = ref
-        self._keepalive.append(array)
-        return ref
+        return (name, array.dtype.str, array.shape, str(path), self._sums[name])
 
     def payload(self, name: str) -> bytes:
         """The ``.npy`` bytes of one artifact (the socket transport)."""
@@ -155,11 +105,8 @@ class ArtifactPlane:
             raise MapReduceError(f"unknown artifact {name!r} requested")
         return digest
 
-    def close(self) -> None:
-        """Delete every spool file; idempotent, never raises partway."""
-        if self.closed:
-            return
-        self.closed = True
+    def _release(self) -> None:
+        """Delete every spool file, making progress past individual failures."""
         for path in self._paths.values():
             try:
                 path.unlink()
@@ -167,14 +114,6 @@ class ArtifactPlane:
                 pass
         self._paths.clear()
         self._sums.clear()
-        self._refs.clear()
-        self._keepalive.clear()
-
-    def __enter__(self) -> "ArtifactPlane":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
 
 class ArtifactCache:
@@ -242,8 +181,11 @@ class ArtifactCache:
         :class:`MapReduceError` naming the artifact and every failure,
         including why the spool path was unusable.
         """
-        from .protocol import WireError  # runtime import: protocol uses us too
-
+        if not digest:
+            raise MapReduceError(
+                f"artifact {name!r}: malformed reference (no SHA-256 digest); "
+                "refusing to decode unverified bytes"
+            )
         backoff = Backoff(base=0.05, cap=1.0, site="dataplane.fetch")
         failures: list[str] = []
         if spool_failure:
@@ -256,15 +198,14 @@ class ArtifactCache:
                 failures.append(f"fetch attempt {attempt}: {exc}")
                 backoff.sleep()
                 continue
-            if digest:
-                actual = hashlib.sha256(data).hexdigest()
-                if actual != digest:
-                    failures.append(
-                        f"fetch attempt {attempt}: checksum mismatch "
-                        f"(got {actual[:12]}…, reference says {digest[:12]}…)"
-                    )
-                    backoff.sleep()
-                    continue
+            actual = hashlib.sha256(data).hexdigest()
+            if actual != digest:
+                failures.append(
+                    f"fetch attempt {attempt}: checksum mismatch "
+                    f"(got {actual[:12]}…, reference says {digest[:12]}…)"
+                )
+                backoff.sleep()
+                continue
             try:
                 return decode_artifact(data)
             except ValueError as exc:
@@ -316,44 +257,3 @@ def decode_artifact(data: bytes) -> np.ndarray:
     array = np.load(io.BytesIO(data), allow_pickle=False)
     array.flags.writeable = False
     return array
-
-
-class _PlanePickler(pickle.Pickler):
-    """Pickler that detours eligible arrays through the plane."""
-
-    def __init__(self, file: io.BytesIO, plane: ArtifactPlane | None) -> None:
-        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._plane = plane
-
-    def persistent_id(self, obj: Any) -> Any:
-        plane = self._plane
-        if plane is not None and plane.eligible(obj):
-            return (_PID_TAG, plane.register(obj))
-        return None
-
-
-class _PlaneUnpickler(pickle.Unpickler):
-    """Unpickler that resolves artifact references via a resolver."""
-
-    def __init__(
-        self, file: io.BytesIO, resolver: Callable[[tuple], np.ndarray]
-    ) -> None:
-        super().__init__(file)
-        self._resolver = resolver
-
-    def persistent_load(self, pid: Any) -> Any:
-        if isinstance(pid, tuple) and len(pid) == 2 and pid[0] == _PID_TAG:
-            return self._resolver(pid[1])
-        raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
-
-
-def dumps(obj: Any, plane: ArtifactPlane | None = None) -> bytes:
-    """Pickle ``obj``, detouring large arrays through ``plane`` (if given)."""
-    buffer = io.BytesIO()
-    _PlanePickler(buffer, plane).dump(obj)
-    return buffer.getvalue()
-
-
-def loads(payload: bytes, resolver: Callable[[tuple], np.ndarray]) -> Any:
-    """Inverse of :func:`dumps`; artifact refs go through ``resolver``."""
-    return _PlaneUnpickler(io.BytesIO(payload), resolver).load()

@@ -4,15 +4,15 @@ Every connection between a worker daemon and the coordinator speaks the
 same framing: a fixed 5-byte preamble (magic + protocol version) exchanged
 once at connect time, then a stream of frames, each an 8-byte big-endian
 length followed by that many bytes of pickled message.  The preamble lets
-both ends reject foreign connections (a port scanner, an old worker build)
-before any pickle bytes are interpreted; the version byte makes a protocol
-bump an explicit handshake failure instead of an unpickling crash.
+both ends reject foreign connections (a port scanner, a worker built from
+another tree) before any pickle bytes are interpreted; the version byte makes
+a protocol bump an explicit handshake failure instead of an unpickling crash.
 
 Messages are the small dataclasses below.  They pickle by reference, so a
 worker only needs ``repro`` importable — no schema registry.  Task payloads
-and artifact bytes are opaque ``bytes`` fields produced by the data plane
-(:mod:`repro.distributed.dataplane`), which keeps the framing layer free of
-NumPy concerns.
+and artifact bytes are opaque ``bytes`` fields produced by the array plane
+(:mod:`repro.mapreduce.plane` pickling, :mod:`repro.distributed.dataplane`
+transport), which keeps the framing layer free of NumPy concerns.
 
 The normative specification of the protocol — framing, preamble, heartbeat
 rules, and the scheduler conversation (:class:`StealRequest` /
@@ -40,34 +40,11 @@ from . import faults
 
 #: Connection preamble: 4 magic bytes + 1 version byte.
 MAGIC = b"RPDC"
-#: Version 2: the streaming scheduler.  Workers pull work with
-#: :class:`StealRequest` instead of being handed one task per exchange,
-#: the coordinator streams batches via :class:`TaskStream`, and
-#: :class:`JoinRun` attaches (possibly late-joining) workers to the active
-#: run.  Version-1 peers are rejected at the preamble, never mid-pickle.
+#: The one protocol version: workers and coordinator ship from one tree,
+#: so every field below is always present and read by plain attribute
+#: access.  A peer speaking any other version is rejected at the preamble,
+#: never mid-pickle.
 PROTOCOL_VERSION = 2
-#: Revision within the version — additive, wire-compatible changes only.
-#: Revision 1 ("v2.1") added :attr:`Artifact.sha256`: artifact replies
-#: carry the SHA-256 of their payload bytes so workers detect in-flight
-#: corruption and re-fetch instead of computing on garbage.  The field
-#: defaults to empty, so a v2.0 peer's frames still unpickle; only the
-#: version byte participates in the preamble handshake.
-#: Revision 2 ("v2.2") added the tracing piggyback: :attr:`JoinRun.trace`
-#: tells workers the driver is collecting a trace, and
-#: :attr:`TaskResult.spans` ships each task's worker-side spans back as
-#: ``(name, offset_seconds, duration_seconds, attrs)`` tuples, re-based
-#: onto the coordinator clock on arrival.  Both fields default to empty,
-#: so v2.0/v2.1 peers' frames still unpickle.
-#: Revision 3 ("v2.3") added the live-observability piggybacks:
-#: :attr:`Heartbeat.seq` / :attr:`Heartbeat.metrics` ship a per-worker
-#: metrics-registry delta on each heartbeat (folded fleet-wide by the
-#: coordinator, deduplicated by sequence number and shipper epoch), and
-#: :attr:`JoinRun.profile` / :attr:`TaskResult.profile` do for the
-#: sampling profiler what v2.2 did for spans: per-task collapsed-stack
-#: counts shipped back and tagged by worker.  All four fields default to
-#: inert values and receivers ``getattr``-gate them, so v2.0–v2.2 peers'
-#: frames still unpickle in both directions.
-PROTOCOL_REVISION = 3
 PREAMBLE = MAGIC + bytes([PROTOCOL_VERSION])
 
 #: Frame header: payload length as an unsigned 64-bit big-endian integer.
@@ -114,7 +91,7 @@ class Task:
     """Coordinator -> worker: run one map chunk or reduce group."""
 
     task_id: int
-    payload: bytes  # dataplane-pickled ("map"|"reduce", job, data)
+    payload: bytes  # plane-pickled ("map"|"reduce", job, data)
 
 
 @dataclass
@@ -128,13 +105,13 @@ class TaskResult:
     arrive after its run already ended, and the coordinator must be able to
     discard such stale results instead of crediting them to the next run.
 
-    ``spans`` (v2.2) carries the task's worker-side trace spans, each a
+    ``spans`` carries the task's worker-side trace spans, each a
     ``(name, offset_seconds, duration_seconds, attrs)`` tuple with offsets
     relative to the worker's task start.  Populated only when the run's
     :class:`JoinRun` had ``trace=True``; empty (and costing nothing on the
     wire beyond the empty tuple) otherwise.
 
-    ``profile`` (v2.3) carries the task's collapsed-stack sample counts as
+    ``profile`` carries the task's collapsed-stack sample counts as
     a ``{stack: samples}`` dict when the run's :class:`JoinRun` had
     ``profile=True``; ``None`` otherwise.  The coordinator folds it into
     the driver profile under a ``worker:<id>`` root frame.
@@ -166,7 +143,7 @@ class Artifact:
     already ended and the spool file is gone) — the worker fails the task
     that asked instead of waiting out its fetch timeout.
 
-    ``sha256`` (v2.1) is the hex SHA-256 of ``data`` as registered on the
+    ``sha256`` is the hex SHA-256 of ``data`` as registered on the
     coordinator.  A worker verifies the fetched bytes against the digest in
     the artifact *reference* and re-fetches (bounded) on mismatch, so a
     corrupted frame is retried instead of silently decoded.
@@ -182,7 +159,7 @@ class Artifact:
 class StealRequest:
     """Worker -> coordinator: my run queue has room; steal me more work.
 
-    The work-stealing edge of the v2 scheduler.  Dispatch is pull-based:
+    The work-stealing edge of the scheduler.  Dispatch is pull-based:
     the coordinator never sends unsolicited tasks, it grants queued tasks
     against the ``capacity`` a worker has announced.  A worker announces its
     full prefetch depth when it joins a run (:class:`JoinRun`) and one more
@@ -218,11 +195,11 @@ class JoinRun:
     work.  ``prefetch_depth`` is the number of tasks the worker should keep
     in flight (one computing, the rest prefetching artifacts).
 
-    ``trace`` (v2.2) marks the run as traced: the worker records per-task
+    ``trace`` marks the run as traced: the worker records per-task
     spans and ships them back via :attr:`TaskResult.spans`.  Defaults off,
     so untraced runs pay nothing.
 
-    ``profile`` (v2.3) marks the run as profiled: the worker samples each
+    ``profile`` marks the run as profiled: the worker samples each
     task's slot thread and ships collapsed-stack counts back via
     :attr:`TaskResult.profile`.  Defaults off, so unprofiled runs pay
     nothing.
@@ -239,7 +216,7 @@ class JoinRun:
 class Heartbeat:
     """Worker -> coordinator: still alive (sent during tasks too).
 
-    ``seq`` and ``metrics`` (v2.3) piggyback the worker's metrics-registry
+    ``seq`` and ``metrics`` piggyback the worker's metrics-registry
     delta since its previous heartbeat: ``metrics`` is the JSON-able delta
     dict produced by :class:`repro.obs.DeltaShipper` (``None`` when
     nothing changed), and ``seq`` mirrors its sequence number so the

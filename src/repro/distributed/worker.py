@@ -15,10 +15,11 @@ daemon
   resolving artifact references (spool memory-map first, socket pull
   second; see :mod:`repro.distributed.dataplane`) — so transfer time hides
   behind compute time,
-* executes map chunks and reduce groups, reporting ``("ok", result,
-  seconds)`` or the original traceback on failure — the same contract as
-  the process executor's worker entry point, so the coordinator can
-  re-raise library errors with their real type,
+* executes map chunks and reduce groups through the engines' one task body
+  (:func:`repro.mapreduce.engine.run_task`), reporting the result or the
+  captured traceback and original exception on failure — the process
+  executor's contract, so the coordinator can re-raise library errors with
+  their real type,
 * sends heartbeats from a background thread — also *during* long tasks —
   so the coordinator can tell a straggler from a corpse, and
 * reconnects after losing the coordinator (a driver exits between
@@ -35,22 +36,20 @@ daemon.
 from __future__ import annotations
 
 import os
-import pickle
 import socket
-import sys
 import threading
 import time
-import traceback
 from collections import deque
 
-from ..mapreduce.engine import _map_chunk
+from ..mapreduce.engine import capture_task_error, run_task
+from ..mapreduce.plane import loads
 from ..obs import configure_logging, get_logger
 from ..obs import metrics as obs
 from ..obs.fleet import DeltaShipper
 from ..obs.profile import Profiler
 from ..utils.errors import MapReduceError
 from . import faults, protocol
-from .dataplane import ArtifactCache, loads
+from .dataplane import ArtifactCache
 from .retry import Backoff
 from .protocol import (
     Artifact,
@@ -87,56 +86,11 @@ DIAL_TIMEOUT = 5.0
 logger = get_logger(__name__)
 
 
-def execute_task(payload: bytes, cache: ArtifactCache, fetch) -> TaskResult:
-    """Run one dataplane-pickled task; never raises for job errors.
-
-    Mirrors the process executor's worker entry point: job exceptions come
-    back as ``status="err"`` with the original traceback text, plus the
-    exception instance itself when it survives a pickle round trip (so
-    ``ReproError`` subclasses keep their type across the host boundary).
-
-    The daemon's hot path goes through :class:`_TaskSlot` instead (payload
-    materialization is prefetched there); this entry point stays the
-    one-shot reference used by protocol-level tests.
-    """
-    start = time.perf_counter()
-    try:
-        kind, job, data = loads(payload, lambda ref: cache.resolve(ref, fetch))
-        result = _compute(kind, job, data)
-        return TaskResult(
-            task_id=-1,
-            status="ok",
-            result=result,
-            seconds=time.perf_counter() - start,
-        )
-    except (SystemExit, KeyboardInterrupt):  # pragma: no cover - passthrough
-        raise
-    except BaseException:
-        return _error_result()
-
-
-def _compute(kind: str, job, data) -> list:
-    if kind == "map":
-        return _map_chunk(job, data)
-    if kind == "reduce":
-        key, values = data
-        return list(job.reduce(key, values))
-    raise MapReduceError(f"unknown task kind {kind!r}")
-
-
 def _error_result() -> TaskResult:
     """A ``status="err"`` result for the exception currently being handled."""
-    exc = sys.exc_info()[1]
-    original: BaseException | None
-    try:
-        original = pickle.loads(pickle.dumps(exc))
-    except Exception:
-        original = None
+    remote_tb, original = capture_task_error()
     return TaskResult(
-        task_id=-1,
-        status="err",
-        traceback=traceback.format_exc(),
-        original=original,
+        task_id=-1, status="err", traceback=remote_tb, original=original
     )
 
 
@@ -247,14 +201,14 @@ class _Connection:
         self._stop = threading.Event()
         self._fetch_lock = threading.Lock()
         self._fetches: dict[str, list[_FetchWaiter]] = {}
-        #: Runs whose :class:`JoinRun` asked for tracing (v2.2): tasks of
-        #: these runs ship their spans back on the :class:`TaskResult`.
+        #: Runs whose :class:`JoinRun` asked for tracing: tasks of these
+        #: runs ship their spans back on the :class:`TaskResult`.
         self.trace_runs: set[str] = set()
-        #: Runs whose :class:`JoinRun` asked for profiling (v2.3): tasks
-        #: of these runs sample their slot thread and ship collapsed-stack
-        #: counts back on the :class:`TaskResult`.
+        #: Runs whose :class:`JoinRun` asked for profiling: tasks of these
+        #: runs sample their slot thread and ship collapsed-stack counts
+        #: back on the :class:`TaskResult`.
         self.profile_runs: set[str] = set()
-        #: The daemon's metrics delta shipper (v2.3 heartbeat piggyback).
+        #: The daemon's metrics delta shipper (heartbeat piggyback).
         #: Owned by the *daemon*, not the connection: baselines and the
         #: sequence number must survive reconnects so a retained
         #: coordinator keeps deduplicating honestly.
@@ -296,7 +250,7 @@ class _Connection:
                 # coordinator declares it lost despite the task thread
                 # still running.
                 faults.fire("worker.heartbeat")
-                # v2.3: piggyback the metrics delta since the previous
+                # Piggyback the metrics delta since the previous
                 # beat.  A delta consumed here but lost with the
                 # connection is dropped, never re-shipped — the fleet
                 # view is advisory telemetry.
@@ -469,8 +423,8 @@ def _run_slot(
             traceback="task abandoned: connection stopped while loading",
         )
     kind, job, data = slot.value
-    # v2.3: sample exactly this slot thread while the task computes, so
-    # the shipped profile is the task's own stacks, not the daemon's
+    # Sample exactly this slot thread while the task computes, so the
+    # shipped profile is the task's own stacks, not the daemon's
     # heartbeat/recv threads.
     profiler = (
         Profiler(threads={threading.get_ident()}) if profiled else None
@@ -481,7 +435,7 @@ def _run_slot(
         # straggling mid-compute.
         faults.fire("worker.compute", detail=kind)
         compute_offset = time.perf_counter() - start
-        result = _compute(kind, job, data)
+        result = run_task(kind, job, data)
         seconds = time.perf_counter() - start
         if profiler is not None:
             profiler.stop()
@@ -490,7 +444,7 @@ def _run_slot(
         spans: tuple = ()
         if traced:
             # Offsets are relative to the task start on the worker clock;
-            # the coordinator re-bases them onto the driver clock (v2.2).
+            # the coordinator re-bases them onto the driver clock.
             recorded = []
             if claimed:
                 recorded.append(("task.load", 0.0, load_seconds, {}))
@@ -584,12 +538,9 @@ def _serve(connection: _Connection, cache: ArtifactCache) -> str:
                 connection.profile_runs.discard(message.run_id)
                 continue
             if isinstance(message, JoinRun):
-                # getattr: a pre-v2.2/v2.3 coordinator's JoinRun pickles
-                # without the trace/profile fields (additive revisions,
-                # same version byte).
-                if getattr(message, "trace", False):
+                if message.trace:
                     connection.trace_runs.add(message.run_id)
-                if getattr(message, "profile", False):
+                if message.profile:
                     connection.profile_runs.add(message.run_id)
                 # Attached to a (possibly already-running) run: announce the
                 # whole pipeline as steal capacity.

@@ -18,8 +18,8 @@ the saved index's manifest.  The result is an :class:`UpdatePlan` — one
 * ``drop`` — the saved partition has no counterpart in the live corpus
   (data set removed, or resolution no longer requested).
 
-A v1 index (no fingerprints recorded) plans as a full rebuild: reuse must
-be *proven*, never assumed.  The plan renders human-readably via
+Reuse must be *proven*, never assumed: only a matching fingerprint keeps
+a partition.  The plan renders human-readably via
 :meth:`UpdatePlan.describe` (the ``repro update --dry-run`` output) and is
 executed by :func:`repro.incremental.update.apply_update`.
 """
@@ -76,8 +76,6 @@ class UpdatePlan:
     #: Data set name order of the saved manifest and of the live corpus.
     saved_datasets: list[str]
     new_datasets: list[str]
-    #: Saved manifest format version (1 plans as full rebuild).
-    saved_version: int
     #: ``stats.raw_bytes`` of the saved manifest and of the live corpus.
     #: A data set with *zero* viable partitions leaves no fingerprint to
     #: diff, but its size still feeds the manifest's raw-byte counter — so
@@ -172,9 +170,8 @@ def plan_update(
     directory = Path(path).expanduser().resolve()
     with obs.span("incremental.plan", index=directory.name) as plan_span:
         manifest = read_manifest(directory)
-        version = int(manifest["format_version"])
 
-        saved_fingerprints = manifest.get("fingerprints") or {}
+        saved_fingerprints = manifest["fingerprints"]
         config_changed = saved_fingerprints.get("config") != config_digest(
             corpus.extractor, corpus.fill
         )
@@ -206,12 +203,8 @@ def plan_update(
                 action, reason = "add", "not in index"
             else:
                 matched.add(key)
-                old_fingerprint = record.get("fingerprint")
-                if old_fingerprint == fingerprint:
+                if record.get("fingerprint") == fingerprint:
                     action, reason = "keep", "fingerprint match"
-                elif old_fingerprint is None:
-                    action = "rebuild"
-                    reason = f"no fingerprint recorded (format v{version})"
                 elif config_changed:
                     action, reason = "rebuild", "extractor/fill configuration changed"
                 elif city_changed:
@@ -264,10 +257,9 @@ def plan_update(
         entries=entries,
         saved_datasets=list(manifest["datasets"]),
         new_datasets=list(corpus.datasets),
-        saved_version=version,
         saved_raw_bytes=int(manifest["stats"].get("raw_bytes", 0)),
         new_raw_bytes=sum(ds.nbytes() for ds in corpus.datasets.values()),
-        saved_scope=manifest.get("scope"),
+        saved_scope=manifest["scope"],
         new_scope=resolution_scope(spatial, temporal),
         config_changed=config_changed,
         city_changed=city_changed,

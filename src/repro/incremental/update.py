@@ -205,7 +205,7 @@ def apply_update(
                 record["file"] = f"{PARTITION_DIR}/{filename}"
                 record["fingerprint"] = entry.fingerprint
                 report.bytes_reused += int(old.get("nbytes", 0))
-                stats = IndexStats(**old["stats"]) if "stats" in old else IndexStats()
+                stats = IndexStats(**old["stats"])
             else:  # rebuild / add
                 functions = built_functions[key]
                 meta = write_partition(target, functions)

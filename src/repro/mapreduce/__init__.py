@@ -1,7 +1,10 @@
-"""Map-reduce substrate: local engine, simulated cluster, framework jobs.
+"""Map-reduce substrate: job contract, local engine, array plane, simulated
+cluster.
 
-The real multi-host backend lives in :mod:`repro.distributed`; it plugs in
-behind the same :class:`Engine` contract via ``executor="cluster"``.
+The substrate knows nothing of its client: the framework's jobs live with
+:class:`repro.core.Corpus` and :mod:`repro.persist`.  The real multi-host
+backend lives in :mod:`repro.distributed`; it plugs in behind the same
+:class:`Engine` contract via ``executor="cluster"``.
 """
 
 from .cluster import (
@@ -20,13 +23,6 @@ from .engine import (
 )
 from .job import Engine, JobStats, MapReduceJob
 from .shm import SharedArrayPlane
-from .pipeline import (
-    FeatureIdentificationJob,
-    PipelineRun,
-    PolygamyPipeline,
-    RelationshipJob,
-    ScalarFunctionJob,
-)
 
 __all__ = [
     "ALL_EXECUTORS",
@@ -43,9 +39,4 @@ __all__ = [
     "overlapped_makespan",
     "speedup_curve",
     "straggler_ratio",
-    "PolygamyPipeline",
-    "PipelineRun",
-    "ScalarFunctionJob",
-    "FeatureIdentificationJob",
-    "RelationshipJob",
 ]

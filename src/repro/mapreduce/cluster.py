@@ -53,12 +53,12 @@ def job_makespan(stats: JobStats, n_nodes: int) -> float:
 
     The model is a hard barrier *between the two waves*: no reduce task is
     scheduled until the slowest map task has finished, and the shuffle runs
-    serially on the coordinator in between — so the three terms simply add.
-    This matches the local engine's pools and the distributed coordinator's
-    ``streaming_reduce=False`` mode; it is the conservative replay for
-    Fig. 10 (it can only understate, never overstate, cluster speedup).
-    The coordinator's *default* scheduler overlaps the shuffle with the map
-    wave — :func:`overlapped_makespan` models that one.
+    serially on the driver in between — so the three terms simply add.
+    This matches the local engine's pools; it is the conservative replay
+    for Fig. 10 (it can only understate, never overstate, cluster speedup).
+    The cluster coordinator overlaps the shuffle with the map wave —
+    :func:`overlapped_makespan` models that one — so for it the barrier
+    exists only here, as a simulation.
     """
     return (
         greedy_makespan(stats.map_task_seconds, n_nodes)
@@ -70,7 +70,7 @@ def job_makespan(stats: JobStats, n_nodes: int) -> float:
 def overlapped_makespan(stats: JobStats, n_nodes: int) -> float:
     """Makespan under the streaming scheduler's overlapped shuffle.
 
-    Models the v2 coordinator's default mode: each map result is folded
+    Models the cluster coordinator: each map result is folded
     into the shuffle *while later map tasks still run*, so by the time the
     last map task lands the shuffle is already done and reduce tasks
     dispatch immediately.  The fold's cost therefore hides behind the map

@@ -11,24 +11,25 @@ Three executors are provided:
 * ``"process"`` — tasks run on a :class:`~concurrent.futures.ProcessPoolExecutor`.
   Each worker is a separate interpreter, so pure-Python work (the merge-tree
   sweep dominating feature identification) parallelizes too.  Task payloads
-  are pickled, with large NumPy matrices detoured through the shared-memory
-  data plane (:mod:`repro.mapreduce.shm`) so the same value matrix is shipped
-  once per run instead of once per task.
+  are pickled, with large NumPy matrices detoured through the array plane's
+  shared-memory transport (:mod:`repro.mapreduce.shm`) so the same value
+  matrix is shipped once per run instead of once per task.
 
 Determinism.  Every intermediate pair is tagged with its provenance
-``(input_index, emit_index)`` before the shuffle; the shuffle sorts by that
+``(input_index, emit_index)`` before the shuffle; the shuffle
+(:class:`ShuffleFolder`, shared with the cluster coordinator) orders by that
 tag, so grouped values (and therefore reduce outputs) are identical no
 matter how map tasks were scheduled, on which worker they ran, or in which
 order their results arrived.  This is what lets :class:`repro.core.Corpus`
-promise bit-identical serial, threaded and process-parallel indexes/queries.
+promise bit-identical serial, threaded, process-parallel and cluster
+indexes/queries.
 
 Chunked map partitions.  One pool task per map input is wasteful when a job
 has many tiny inputs (dispatch dominates).  ``map_chunk_size`` groups
 consecutive inputs into one schedulable task: pass an ``int``, or ``"auto"``
 to size chunks per executor (see :func:`auto_chunk_size` — process workers
 get larger chunks, amortizing the per-task pickle/IPC round trip that
-threads do not pay).  The shuffle groups intermediate pairs by key with a
-plain dictionary — the in-process analogue of Hadoop's sort/partition phase.
+threads do not pay).
 
 Environment defaults.  :func:`default_engine` resolves unset knobs from
 ``REPRO_EXECUTOR`` / ``REPRO_WORKERS``, which is how CI re-runs whole test
@@ -41,6 +42,8 @@ fourth executor, ``"cluster"``, lives outside this module: it resolves to
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import multiprocessing
 import os
@@ -48,7 +51,8 @@ import pickle
 import sys
 import time
 import traceback
-from collections.abc import Hashable, Iterable
+from collections import defaultdict
+from collections.abc import Callable, Hashable, Iterable, Iterator
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any
@@ -84,12 +88,9 @@ def _start_method() -> str:
 #: ``"auto"`` chunking targets this many map tasks per worker: enough tasks
 #: to keep the pool busy (work stealing across uneven tasks) without
 #: per-input dispatch.  Process workers get fewer, larger chunks because
-#: every task also pays a pickle/IPC round trip; cluster workers pay the
-#: same pickle cost plus a socket hop, so they match the process sizing.
-#: (The cluster engine's own ``steal_granularity="auto"`` goes further and
-#: sizes tasks from *measured* per-input seconds; this table is the local
-#: pools' static heuristic and the cluster's pre-measurement fallback shape.)
-_AUTO_TASKS_PER_WORKER = {"thread": 4, "process": 2, "cluster": 2}
+#: every task also pays a pickle/IPC round trip.  (The cluster coordinator
+#: sizes its own tasks, from measured per-input seconds.)
+_AUTO_TASKS_PER_WORKER = {"thread": 4, "process": 2}
 
 #: A tagged intermediate pair: ((input_index, emit_index), key, value).
 TaggedPair = tuple[tuple[int, int], Hashable, Any]
@@ -100,15 +101,15 @@ def auto_chunk_size(n_inputs: int, n_workers: int, executor: str) -> int:
 
     ``ceil(n_inputs / (n_workers * tasks_per_worker))`` with a per-executor
     ``tasks_per_worker``: 4 for threads (dispatch is cheap, favor work
-    stealing) and 2 for processes and cluster hosts (every task ships its
-    payload through pickle/IPC or a socket, favor amortization).  Serial
-    execution keeps one input per task so per-task timings stay maximally
-    informative for the simulated-cluster replay.
+    stealing) and 2 for processes (every task ships its payload through
+    pickle/IPC, favor amortization).  Serial execution keeps one input per
+    task so per-task timings stay maximally informative for the
+    simulated-cluster replay.
     """
-    if executor not in ALL_EXECUTORS:
+    if executor not in EXECUTORS:
         raise MapReduceError(
             f"unknown executor {executor!r} (valid executors: "
-            f"{', '.join(ALL_EXECUTORS)})"
+            f"{', '.join(EXECUTORS)})"
         )
     if executor == "serial" or n_workers <= 1 or n_inputs <= 0:
         return 1
@@ -140,6 +141,8 @@ def default_engine(
     :class:`repro.distributed.ClusterEngine` whose coordinator binds the
     ``$REPRO_CLUSTER`` address (default ``127.0.0.1:7077``) — the same
     ``run(job, inputs)`` contract, executed by ``repro worker`` daemons.
+    ``map_chunk_size`` sizes the local pools only; the coordinator sizes
+    cluster tasks from measured throughput.
     ``$REPRO_FALLBACK`` (``serial``/``thread``/``process``) arms graceful
     degradation: when the cluster is unavailable (workers never registered,
     or all lost mid-run) the job reruns on that local executor instead of
@@ -187,11 +190,7 @@ def default_engine(
                 f"(or unset); got {raw_fallback!r}"
             )
         return ClusterEngine(
-            bind=bind,
-            n_workers=n_workers,
-            map_chunk_size=map_chunk_size,
-            shared=True,
-            fallback=raw_fallback,
+            bind=bind, n_workers=n_workers, shared=True, fallback=raw_fallback
         )
     return LocalEngine(
         n_workers=n_workers, executor=executor, map_chunk_size=map_chunk_size
@@ -211,33 +210,105 @@ def _map_chunk(job: MapReduceJob, chunk: list) -> list[TaggedPair]:
     return tagged
 
 
+class ShuffleFolder:
+    """The shuffle: fold tagged map outputs into per-key value groups.
+
+    ``add`` may be called with each map task's output as it lands, in any
+    arrival order and under any partition of the pairs into map results;
+    ``finalize`` sorts each key's bucket by the ``(input_index,
+    emit_index)`` tag and orders keys by their smallest tag.  Tags are
+    unique, so that equals grouping the globally tag-sorted pair stream:
+    per-key value order and key (reduce-task) order depend only on what the
+    map phase emitted — never on scheduling.  Every engine shuffles through
+    this one class (the local pools after their map wave, the cluster
+    coordinator while its map wave is still running), which is the property
+    the parallel/serial equivalence tests pin down.
+    """
+
+    def __init__(self) -> None:
+        #: key -> its tagged pairs, appended in arrival order; the dict's own
+        #: insertion order is arrival order too and is never consulted.
+        self._buckets: dict[Hashable, list[TaggedPair]] = defaultdict(list)
+
+    def add(self, tagged_pairs: Iterable[TaggedPair]) -> None:
+        """Fold one map result into the per-key buckets."""
+        for pair in tagged_pairs:
+            self._buckets[pair[1]].append(pair)
+
+    def finalize(self) -> list[tuple[Hashable, list[Any]]]:
+        """The ``(key, values)`` groups, in deterministic reduce order."""
+        entries = []
+        for key, bucket in self._buckets.items():
+            bucket.sort(key=lambda pair: pair[0])
+            entries.append((bucket[0][0], key, [pair[2] for pair in bucket]))
+        entries.sort(key=lambda entry: entry[0])
+        return [(key, values) for _, key, values in entries]
+
+
+def run_task(kind: str, job: MapReduceJob, data: Any) -> list:
+    """The body of one schedulable task, on every executor.
+
+    ``("map", job, chunk)`` runs a chunk of indexed inputs through
+    :func:`_map_chunk`; ``("reduce", job, (key, values))`` runs one group.
+    """
+    if kind == "map":
+        return _map_chunk(job, data)
+    if kind == "reduce":
+        key, values = data
+        return list(job.reduce(key, values))
+    raise MapReduceError(f"unknown task kind {kind!r}")
+
+
+def capture_task_error() -> tuple[str, BaseException | None]:
+    """``(traceback text, original)`` of the exception being handled.
+
+    What a task that raised out of sight of the driver — in a pool process
+    or on a cluster host — reports instead of a result.  ``original`` is
+    the exception instance when it survives a pickle round trip, else
+    ``None``.
+    """
+    exc = sys.exc_info()[1]
+    original: BaseException | None
+    try:
+        original = pickle.loads(pickle.dumps(exc))
+    except Exception:
+        original = None
+    return traceback.format_exc(), original
+
+
+def task_error(
+    kind: str, where: str, remote_tb: str, original: BaseException | None
+) -> BaseException:
+    """The caller-facing exception for a :func:`capture_task_error` report.
+
+    Library errors keep their type and message — serial, thread, process
+    and cluster execution all raise the same exception — with the remote
+    traceback riding along as the cause; everything else becomes a
+    :class:`MapReduceError` carrying the original traceback.
+    """
+    context = MapReduceError(
+        f"{kind} task failed {where}; original traceback:\n{remote_tb}"
+    )
+    if isinstance(original, ReproError):
+        original.__cause__ = context
+        return original
+    return context
+
+
 def _process_task(payload: bytes) -> tuple:
     """Worker entry point of the process executor.
 
-    Decodes one shm-pickled task, runs it, and reports
+    Decodes one plane-pickled task, runs it, and reports
     ``("ok", result, seconds)`` — or ``("err", traceback_text, original)``
-    so the parent can surface the failure itself (library errors re-raised
-    as-is, everything else as a :class:`MapReduceError` carrying the
-    *original* traceback) instead of the executor's opaque
-    ``BrokenProcessPool`` path.  ``original`` is the exception instance when
-    it survives a pickle round trip, else ``None``.
+    so the parent can surface the failure itself (:func:`task_error`)
+    instead of the executor's opaque ``BrokenProcessPool`` path.
     """
     start = time.perf_counter()
     try:
-        kind, job, data = shm.loads(payload)
-        if kind == "map":
-            result: list = _map_chunk(job, data)
-        else:
-            key, values = data
-            result = list(job.reduce(key, values))
+        result = run_task(*shm.loads(payload, shm.attach))
         return ("ok", result, time.perf_counter() - start)
-    except BaseException as exc:
-        original: BaseException | None
-        try:
-            original = pickle.loads(pickle.dumps(exc))
-        except Exception:
-            original = None
-        return ("err", traceback.format_exc(), original)
+    except BaseException:
+        return ("err", *capture_task_error())
 
 
 class LocalEngine:
@@ -305,8 +376,6 @@ class LocalEngine:
         if self.map_chunk_size is None:
             return 1
         if self.map_chunk_size == "auto":
-            if not self.is_parallel:
-                return 1
             return auto_chunk_size(n_inputs, self.n_workers, self.executor)
         return self.map_chunk_size
 
@@ -355,175 +424,107 @@ class LocalEngine:
         ]
         stats.n_map_chunks = len(chunks)
 
-        if self.executor == "process" and self.is_parallel:
-            return self._run_process(job, chunks, stats, run_span_id)
-
-        # -- map phase -------------------------------------------------------
-        if self.is_parallel:
-            map_results = self._run_thread_tasks(
-                [(_map_chunk, job, chunk) for chunk in chunks],
-                stats.map_task_seconds,
-                span_name="map.task",
-                span_parent=run_span_id,
-            )
-        else:
-            map_results = []
-            for chunk in chunks:
-                with obs.span("map.task", n_inputs=len(chunk)):
-                    start = time.perf_counter()
-                    map_results.append(_map_chunk(job, chunk))
-                    stats.map_task_seconds.append(time.perf_counter() - start)
-
-        # -- shuffle -----------------------------------------------------------
-        with obs.span("engine.shuffle"):
-            start = time.perf_counter()
-            groups = self.shuffle(
-                pair for emitted in map_results for pair in emitted
-            )
-            stats.shuffle_seconds = time.perf_counter() - start
-
-        # -- reduce phase ------------------------------------------------------
-        items = list(groups.items())
-        if self.is_parallel:
-            reduce_results = self._run_thread_tasks(
-                [(job.reduce, k, vs) for k, vs in items],
-                stats.reduce_task_seconds,
-                span_name="reduce.task",
-                span_parent=run_span_id,
-            )
-        else:
-            reduce_results = []
-            for k, vs in items:
-                with obs.span("reduce.task"):
-                    start = time.perf_counter()
-                    emitted = list(job.reduce(k, vs))
-                    stats.reduce_task_seconds.append(
-                        time.perf_counter() - start
-                    )
-                    reduce_results.append(emitted)
+        with self._phase_runner(job, run_span_id) as run_phase:
+            map_results = run_phase("map", chunks, stats.map_task_seconds)
+            with obs.span("engine.shuffle"):
+                start = time.perf_counter()
+                folder = ShuffleFolder()
+                for emitted in map_results:
+                    folder.add(emitted)
+                groups = folder.finalize()
+                stats.shuffle_seconds = time.perf_counter() - start
+            reduce_results = run_phase("reduce", groups, stats.reduce_task_seconds)
 
         outputs = [pair for emitted in reduce_results for pair in emitted]
         stats.n_outputs = len(outputs)
         return outputs
 
+    @contextlib.contextmanager
+    def _phase_runner(
+        self, job: MapReduceJob, span_parent: int | None
+    ) -> Iterator[Callable]:
+        """Yield ``run_phase(kind, items, timings) -> results`` for ``job``.
+
+        One pool — and, for processes, one shared-memory plane — spans both
+        task phases, so a value matrix referenced by a map chunk *and* a
+        reduce group is still registered only once.  The plane is closed in
+        ``finally``: success, task failure or pool breakage all release
+        every segment.
+        """
+        if not self.is_parallel:
+            yield functools.partial(self._run_inline_phase, map, span_parent, job)
+        elif self.executor == "thread":
+            with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
+                yield functools.partial(
+                    self._run_inline_phase, pool.map, span_parent, job
+                )
+        else:
+            plane = shm.SharedArrayPlane(min_bytes=self.shm_min_bytes)
+            try:
+                with ProcessPoolExecutor(
+                    max_workers=self.n_workers,
+                    mp_context=multiprocessing.get_context(_start_method()),
+                ) as pool:
+                    yield functools.partial(
+                        self._run_process_phase, pool, plane, span_parent, job
+                    )
+            finally:
+                plane.close()
+
+    # -- serial and thread executors -----------------------------------------
+
     @staticmethod
-    def shuffle(tagged: Iterable[TaggedPair]) -> dict[Hashable, list[Any]]:
-        """Group tagged intermediate pairs by key, deterministically.
-
-        Pairs are first sorted by their ``(input_index, emit_index)`` tag, so
-        both the per-key value order and the key (reduce-task) order depend
-        only on what the map phase emitted — never on scheduling order.  This
-        is the property the parallel/serial equivalence tests pin down.
-        """
-        ordered = sorted(tagged, key=lambda pair: pair[0])
-        groups: dict[Hashable, list[Any]] = {}
-        for _tag, key, value in ordered:
-            groups.setdefault(key, []).append(value)
-        return groups
-
-    # -- thread executor -----------------------------------------------------
-
-    def _run_thread_tasks(
-        self,
-        tasks: list[tuple],
+    def _run_inline_phase(
+        map_fn: Callable,
+        span_parent: int | None,
+        job: MapReduceJob,
+        kind: str,
+        items: list,
         timings: list[float],
-        span_name: str = "task",
-        span_parent: int | None = None,
     ) -> list[list]:
-        """Run ``(fn, *args)`` tasks on the thread pool, recording times.
+        """Run one phase's tasks in this process, recording times.
 
-        Per-task spans carry an explicit ``span_parent`` (the run span's id):
-        pool threads have no span stack of their own, so thread-local nesting
-        cannot resolve the parent for them.
+        ``map_fn`` is the builtin ``map`` (serial) or a thread pool's.
+        Per-task spans carry an explicit ``span_parent`` (the run span's
+        id): pool threads have no span stack of their own, so thread-local
+        nesting cannot resolve the parent for them.
         """
 
-        def timed_call(task: tuple) -> tuple[list, float]:
-            fn, *args = task
+        span_name = f"{kind}.task"
+
+        def timed_task(item: Any) -> tuple[list, float]:
             with obs.span(span_name, parent=span_parent):
                 start = time.perf_counter()
-                out = list(fn(*args))
+                out = run_task(kind, job, item)
                 return out, time.perf_counter() - start
 
-        with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-            results = list(pool.map(timed_call, tasks))
         outputs = []
-        for out, seconds in results:
+        for out, seconds in map_fn(timed_task, items):
             outputs.append(out)
             timings.append(seconds)
         return outputs
 
     # -- process executor ----------------------------------------------------
 
-    def _run_process(
-        self,
-        job: MapReduceJob,
-        chunks: list[list],
-        stats: JobStats,
-        run_span_id: int | None = None,
-    ) -> list[tuple[Any, Any]]:
-        """Map + shuffle + reduce with one process pool and one shm plane.
-
-        The pool and the shared-memory plane span both task phases, so a
-        value matrix referenced by a map chunk *and* a reduce group is still
-        registered only once.  The plane is closed in ``finally`` — success,
-        task failure or pool breakage all release every segment.
-        """
-        plane = shm.SharedArrayPlane(min_bytes=self.shm_min_bytes)
-        try:
-            with ProcessPoolExecutor(
-                max_workers=self.n_workers,
-                mp_context=multiprocessing.get_context(_start_method()),
-            ) as pool:
-                map_results = self._submit_process_phase(
-                    pool,
-                    plane,
-                    [("map", job, chunk) for chunk in chunks],
-                    stats.map_task_seconds,
-                    phase="map",
-                    span_parent=run_span_id,
-                )
-
-                with obs.span("engine.shuffle"):
-                    start = time.perf_counter()
-                    groups = self.shuffle(
-                        pair for emitted in map_results for pair in emitted
-                    )
-                    stats.shuffle_seconds = time.perf_counter() - start
-
-                items = list(groups.items())
-                reduce_results = self._submit_process_phase(
-                    pool,
-                    plane,
-                    [("reduce", job, item) for item in items],
-                    stats.reduce_task_seconds,
-                    phase="reduce",
-                    span_parent=run_span_id,
-                )
-        finally:
-            plane.close()
-
-        outputs = [pair for emitted in reduce_results for pair in emitted]
-        stats.n_outputs = len(outputs)
-        return outputs
-
-    def _submit_process_phase(
-        self,
+    @staticmethod
+    def _run_process_phase(
         pool: ProcessPoolExecutor,
         plane: shm.SharedArrayPlane,
-        tasks: list[tuple],
+        span_parent: int | None,
+        job: MapReduceJob,
+        kind: str,
+        items: list,
         timings: list[float],
-        phase: str,
-        span_parent: int | None = None,
     ) -> list[list]:
         """Ship one phase's tasks to the pool; results in submission order."""
         try:
             futures: list[Future] = [
-                pool.submit(_process_task, shm.dumps(task, plane))
-                for task in tasks
+                pool.submit(_process_task, shm.dumps((kind, job, item), plane))
+                for item in items
             ]
         except BrokenProcessPool as exc:  # pragma: no cover - races only
             raise MapReduceError(
-                f"process pool broke while submitting {phase} tasks: {exc}"
+                f"process pool broke while submitting {kind} tasks: {exc}"
             ) from exc
 
         outputs: list[list] = []
@@ -532,33 +533,21 @@ class LocalEngine:
                 result = future.result()
                 if result[0] == "err":
                     _status, remote_tb, original = result
-                    if isinstance(original, ReproError):
-                        # Library errors keep their type and message —
-                        # serial, thread and process execution all raise the
-                        # same exception; the worker traceback rides along
-                        # as the cause.
-                        raise original from MapReduceError(
-                            f"raised in a {phase} worker process; original "
-                            f"traceback:\n{remote_tb}"
-                        )
-                    raise MapReduceError(
-                        f"{phase} task failed in a worker process; original "
-                        f"traceback:\n{remote_tb}"
-                    )
+                    raise task_error(kind, "in a worker process", remote_tb, original)
                 _status, out, seconds = result
                 outputs.append(out)
                 timings.append(seconds)
                 # Worker processes have no trace; approximate each task as
                 # an interval ending at result arrival in the parent clock.
                 obs.record_span(
-                    f"{phase}.task",
+                    f"{kind}.task",
                     seconds,
                     parent=span_parent,
                     track="process-pool",
                 )
         except BrokenProcessPool as exc:
             raise MapReduceError(
-                f"a worker process died during the {phase} phase (killed or "
+                f"a worker process died during the {kind} phase (killed or "
                 f"crashed before reporting a result): {exc}"
             ) from exc
         finally:

@@ -1,28 +1,15 @@
-"""Shared-memory data plane for the ``"process"`` executor.
+"""Shared-memory transport of the array plane (the ``"process"`` executor).
 
-The process executor ships every task payload to a worker through pickle.
-For the framework jobs that is mostly fine — jobs, clauses and small result
-objects are cheap — but the large NumPy matrices behind a task (raw data set
-columns, scalar-function value matrices) would be serialized **per task**,
-and the same matrix frequently backs many tasks (every function pair of a
-query references its two value matrices; every partition of one data set
-references the full record arrays).
+:class:`SharedArrayPlane` is the :class:`~repro.mapreduce.plane.ArrayPlane`
+whose store is a ``multiprocessing.shared_memory`` segment per distinct
+array; pool workers :func:`attach` zero-copy, read-only views onto the same
+physical pages.  Dedup, eligibility and the pickler are the plane's
+(:mod:`repro.mapreduce.plane`); this module adds only what is particular to
+segments:
 
-This module removes that copy: a :class:`SharedArrayPlane` registers each
-distinct large array **once** into a ``multiprocessing.shared_memory``
-segment, and a pickler/unpickler pair (:func:`dumps` / :func:`loads`)
-substitutes those arrays with tiny segment references during payload
-serialization.  Workers reconstruct zero-copy, read-only views onto the
-same physical pages.
-
-Guarantees:
-
-* **Registration is deduplicated** — an array appearing in ten payloads
-  occupies one segment, written once.
-* **Cleanup is guaranteed** — the engine closes the plane in a ``finally``
-  block; :meth:`SharedArrayPlane.close` unlinks every segment even when a
-  task raised, and the module-level :func:`live_segments` registry lets
-  tests assert nothing leaked.
+* **Cleanup is observable** — :meth:`SharedArrayPlane.close` unlinks every
+  segment even when a task raised, and the module-level
+  :func:`live_segments` registry lets tests assert nothing leaked.
 * **Workers never unlink** — attachments are *untracked*: only the creating
   process registers a segment with its ``resource_tracker``.  Attaching
   with tracking enabled is a well-known CPython pitfall before 3.13's
@@ -34,38 +21,23 @@ Guarantees:
   ``track=False`` where available and suppresses the registration call on
   older interpreters.  The owning engine controls the segment lifetime
   alone.
-* **Views are read-only** — map tasks must treat inputs as immutable (the
-  serial executor shares the same objects by reference); read-only views
-  turn an accidental in-place mutation into a loud error instead of a
-  silent cross-process divergence.
-
-The plane is transport only: it never changes *what* is computed, so the
-engine's bit-identical serial/parallel guarantee is preserved.
 """
 
 from __future__ import annotations
 
-import io
-import pickle
 import secrets
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any
 
 import numpy as np
 
 from ..utils.errors import MapReduceError
+# ``dumps``/``loads`` are the plane's; the process executor reaches them as
+# ``shm.dumps`` / ``shm.loads`` so its pickling stays one patchable module
+# attribute, apart from the cluster's use of the same functions.
+from .plane import DEFAULT_MIN_BYTES, ArrayPlane, dumps, loads  # noqa: F401
 
 #: Segment names are ``repro_shm_<token>``; tests scan for this prefix.
 SEGMENT_PREFIX = "repro_shm_"
-
-#: Arrays below this many bytes travel through plain pickle: a shared-memory
-#: segment costs a file descriptor, a page-aligned allocation and an attach
-#: syscall per worker, which only pays off for matrices of real size.
-DEFAULT_MIN_BYTES = 32 * 1024
-
-#: Tag marking a persistent id as one of ours (defensive: ``persistent_load``
-#: must reject foreign pids instead of fabricating arrays from garbage).
-_PID_TAG = "repro.mapreduce.shm"
 
 #: Names of segments created by this process that are not yet unlinked.
 #: :meth:`SharedArrayPlane.close` drains it; tests assert it is empty after
@@ -104,79 +76,38 @@ def live_segments() -> frozenset[str]:
     return frozenset(_LIVE_SEGMENTS)
 
 
-class SharedArrayPlane:
-    """Owner of the shared-memory segments behind one engine run.
-
-    Parameters
-    ----------
-    min_bytes:
-        Arrays smaller than this are left to plain pickle (see
-        :data:`DEFAULT_MIN_BYTES`).
-    """
+class SharedArrayPlane(ArrayPlane):
+    """The array plane over shared-memory segments (one per distinct array)."""
 
     def __init__(self, min_bytes: int = DEFAULT_MIN_BYTES) -> None:
-        if min_bytes < 1:
-            raise MapReduceError("shared-memory min_bytes must be >= 1")
-        self.min_bytes = min_bytes
+        super().__init__(min_bytes)
         self._segments: list[shared_memory.SharedMemory] = []
-        # id(array) -> ref; the keepalive list pins the arrays so a freed
-        # array's id cannot be recycled into a stale cache hit.
-        self._refs: dict[int, tuple] = {}
-        self._keepalive: list[np.ndarray] = []
-        self.closed = False
-
-    @property
-    def n_segments(self) -> int:
-        """Number of distinct arrays promoted to shared memory."""
-        return len(self._segments)
 
     @property
     def shared_bytes(self) -> int:
         """Total payload bytes resident in shared memory."""
         return sum(segment.size for segment in self._segments)
 
-    def eligible(self, obj: Any) -> bool:
-        """True when ``obj`` is an array worth promoting to shared memory."""
-        return (
-            isinstance(obj, np.ndarray)
-            and obj.dtype != object
-            and not obj.dtype.hasobject
-            and obj.nbytes >= self.min_bytes
-        )
-
-    def register(self, array: np.ndarray) -> tuple:
-        """Copy ``array`` into a segment (once) and return its reference.
+    def _store(self, array: np.ndarray) -> tuple:
+        """Copy ``array`` into a fresh segment.
 
         The reference is a small picklable tuple ``(name, dtype, shape)``;
         :func:`attach` turns it back into a read-only view in any process.
         """
-        if self.closed:
-            raise MapReduceError("shared-array plane is already closed")
-        key = id(array)
-        ref = self._refs.get(key)
-        if ref is not None:
-            return ref
         name = SEGMENT_PREFIX + secrets.token_hex(8)
         segment = shared_memory.SharedMemory(create=True, size=array.nbytes, name=name)
         _LIVE_SEGMENTS.add(name)
         self._segments.append(segment)
         view = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
         view[...] = array  # handles non-contiguous sources too
-        ref = (name, array.dtype.str, array.shape)
-        self._refs[key] = ref
-        self._keepalive.append(array)
-        return ref
+        return (name, array.dtype.str, array.shape)
 
-    def close(self) -> None:
-        """Release and unlink every segment; idempotent, never raises partway.
+    def _release(self) -> None:
+        """Unlink every segment, making progress past individual failures.
 
-        Called from the engine's ``finally`` block, so it must make progress
-        past individual failures (a segment the OS already reclaimed must not
-        strand its siblings).
+        Called from the engine's ``finally`` block: a segment the OS already
+        reclaimed must not strand its siblings.
         """
-        if self.closed:
-            return
-        self.closed = True
         for segment in self._segments:
             try:
                 segment.close()
@@ -188,14 +119,6 @@ class SharedArrayPlane:
                 pass
             _LIVE_SEGMENTS.discard(segment.name)
         self._segments.clear()
-        self._refs.clear()
-        self._keepalive.clear()
-
-    def __enter__(self) -> "SharedArrayPlane":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
 
 def attach(ref: tuple) -> np.ndarray:
@@ -231,38 +154,3 @@ def detach_all() -> None:
         except (OSError, BufferError):  # pragma: no cover - view still held
             pass
     _ATTACHED.clear()
-
-
-class _ShmPickler(pickle.Pickler):
-    """Pickler that detours eligible arrays through the plane."""
-
-    def __init__(self, file: io.BytesIO, plane: SharedArrayPlane | None) -> None:
-        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._plane = plane
-
-    def persistent_id(self, obj: Any) -> Any:
-        plane = self._plane
-        if plane is not None and plane.eligible(obj):
-            return (_PID_TAG, plane.register(obj))
-        return None
-
-
-class _ShmUnpickler(pickle.Unpickler):
-    """Unpickler that resolves plane references back into shared views."""
-
-    def persistent_load(self, pid: Any) -> Any:
-        if isinstance(pid, tuple) and len(pid) == 2 and pid[0] == _PID_TAG:
-            return attach(pid[1])
-        raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
-
-
-def dumps(obj: Any, plane: SharedArrayPlane | None = None) -> bytes:
-    """Pickle ``obj``, detouring large arrays through ``plane`` (if given)."""
-    buffer = io.BytesIO()
-    _ShmPickler(buffer, plane).dump(obj)
-    return buffer.getvalue()
-
-
-def loads(payload: bytes) -> Any:
-    """Inverse of :func:`dumps`; attaches referenced segments on demand."""
-    return _ShmUnpickler(io.BytesIO(payload)).load()

@@ -2,7 +2,7 @@
 
 The live half of the metrics plane.  Each worker daemon owns one
 :class:`DeltaShipper` over its process registry; every heartbeat it emits
-the *delta* since the previous heartbeat (protocol v2.3 piggybacks it on
+the *delta* since the previous heartbeat (piggybacked on
 ``Heartbeat.metrics``).  The coordinator owns one :class:`FleetAggregator`
 that folds arriving deltas into a per-worker replica registry — counters
 and histogram buckets add, so the fold is **order-independent**, which is

@@ -9,8 +9,8 @@ flamegraph tools consume::
 
 Enabled via ``repro --profile OUT`` / :data:`ENV_PROFILE` on the driver;
 workers profile per-task when the coordinator sets ``JoinRun.profile``
-and ship their counts back on ``TaskResult.profile`` (the v2.3 analogue
-of the v2.2 span piggyback), where the driver folds them in under a
+and ship their counts back on ``TaskResult.profile`` (the analogue of
+the span piggyback), where the driver folds them in under a
 ``worker:<id>;`` prefix so one flamegraph spans the whole fleet.
 
 Disabled is the default and costs what disabled tracing costs: the

@@ -13,7 +13,6 @@ from .format import (
     FORMAT_VERSION,
     INDEX_MANIFEST,
     PARTITION_DIR,
-    SUPPORTED_VERSIONS,
     deterministic_savez,
     partition_filename,
     read_partition,
@@ -35,7 +34,6 @@ __all__ = [
     "FORMAT_VERSION",
     "INDEX_MANIFEST",
     "PARTITION_DIR",
-    "SUPPORTED_VERSIONS",
     "deterministic_savez",
     "partition_filename",
     "read_partition",

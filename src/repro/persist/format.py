@@ -1,4 +1,4 @@
-"""On-disk format of a persisted corpus index (version 2; version 1 readable).
+"""On-disk format of a persisted corpus index (format version 2).
 
 An index directory is a JSON manifest plus one NPZ file per indexed
 (data set, resolution) partition::
@@ -28,22 +28,24 @@ same functions always serialize to the same bytes.  This is the property
 that makes incremental updates *verifiable* — an updated index can be
 compared bit-for-bit against a from-scratch rebuild.
 
-Version 2 additions (version 1 files still load):
+Reuse evidence.  What incremental maintenance needs to *prove* a partition
+reusable travels with the index:
 
-* each partition record may carry a ``fingerprint`` — a SHA-256 content
+* each partition record carries a ``fingerprint`` — a SHA-256 content
   fingerprint of the raw inputs that produced the partition (data set
   schema + columns, function specs, city model, extractor config, fill
   policy) — and a ``stats`` record, the partition's own
   :class:`~repro.core.corpus.IndexStats` contribution, so partial rebuilds
   can merge bookkeeping without re-deriving it;
-* the manifest may carry a top-level ``fingerprints`` object with the
+* the manifest carries a top-level ``fingerprints`` object with the
   ``config`` (extractor + fill) and ``city`` digests, letting the update
-  planner report *why* everything is being rebuilt.
+  planner report *why* everything is being rebuilt, and the ``scope``
+  (resolution whitelists) the index was built with.
 
 Integrity.  The manifest records a SHA-256 digest per partition file and a
 digest of its own payload (``manifest_sha256`` over the canonical JSON of
-every other key).  Any mismatch — as well as a truncated manifest or an
-unsupported ``format_version`` — surfaces as
+every other key).  Any mismatch — as well as a truncated manifest or a
+``format_version`` other than the one this build writes — surfaces as
 :class:`repro.utils.errors.PersistError`, never as a raw numpy/JSON
 traceback.
 """
@@ -75,11 +77,8 @@ from ..utils.bitvector import BitVector
 from ..utils.errors import PersistError
 
 FORMAT_NAME = "repro-corpus-index"
+#: The one version this build writes — and therefore the one it reads.
 FORMAT_VERSION = 2
-#: Versions :func:`repro.persist.index_io.read_manifest` accepts.  Version 1
-#: predates fingerprints/per-partition stats; its partitions load fine, but
-#: the update planner cannot prove reuse and schedules full rebuilds.
-SUPPORTED_VERSIONS = (1, 2)
 INDEX_MANIFEST = "index.json"
 PARTITION_DIR = "partitions"
 

@@ -43,7 +43,6 @@ from .format import (
     FORMAT_VERSION,
     INDEX_MANIFEST,
     PARTITION_DIR,
-    SUPPORTED_VERSIONS,
     extractor_from_dict,
     extractor_to_dict,
     manifest_digest,
@@ -52,7 +51,16 @@ from .format import (
     write_partition,
 )
 
-_MANIFEST_KEYS = ("city", "extractor", "fill", "datasets", "stats", "partitions")
+_MANIFEST_KEYS = (
+    "city",
+    "extractor",
+    "fill",
+    "fingerprints",
+    "scope",
+    "datasets",
+    "stats",
+    "partitions",
+)
 
 
 class PartitionSaveJob(MapReduceJob):
@@ -168,22 +176,16 @@ def save_index(
         outputs, _ = run_engine.run(PartitionSaveJob(staging), inputs)
         records = outputs[0][1] if outputs else []
 
-        # v2 enrichment: per-partition content fingerprints and IndexStats
-        # contributions, when the index carries them (freshly built or loaded
-        # from a v2 directory).  A v1-loaded index has neither — its records
-        # stay bare, and a later `repro update` schedules full rebuilds.
+        # Reuse evidence for `repro update`: each partition's IndexStats
+        # contribution and content fingerprint ride in its record.
         for record in records:
             key = (
                 record["dataset"],
                 SpatialResolution(record["spatial"]),
                 TemporalResolution(record["temporal"]),
             )
-            stats = index.partition_stats.get(key)
-            if stats is not None:
-                record["stats"] = asdict(stats)
-            fingerprint = index.partition_fingerprints.get(key)
-            if fingerprint is not None:
-                record["fingerprint"] = fingerprint
+            record["stats"] = asdict(index.partition_stats[key])
+            record["fingerprint"] = index.partition_fingerprints[key]
 
         manifest = build_manifest(
             city=index.city,
@@ -207,9 +209,9 @@ def build_manifest(
     datasets: list[str],
     stats: IndexStats,
     records: list[dict],
-    scope: dict | None = None,
+    scope: dict,
 ) -> dict:
-    """Assemble and sign a format-v2 manifest.
+    """Assemble and sign a manifest.
 
     The single source of truth for manifest layout: :func:`save_index` and
     the incremental applier (:func:`repro.incremental.update.apply_update`)
@@ -217,8 +219,7 @@ def build_manifest(
     byte-compatible with a from-scratch save of the same content.
 
     ``scope`` records the resolution whitelists the index was built with
-    (see :func:`repro.core.corpus.resolution_scope`); ``None`` = unknown
-    (an index loaded from a v1 directory and re-saved).
+    (see :func:`repro.core.corpus.resolution_scope`).
     """
     from ..incremental.fingerprint import city_digest, config_digest
 
@@ -305,8 +306,8 @@ def load_index(path: str | Path, engine: Engine | None = None) -> CorpusIndex:
         # as Corpus.build_index leaves them.
         datasets[name] = loaded.get(name) or DatasetIndex(dataset=name)
 
-    # v2 bookkeeping survives the round trip, so a loaded index can be
-    # re-saved (or incrementally updated) without losing reuse evidence.
+    # The reuse evidence survives the round trip, so a loaded index can be
+    # re-saved (or incrementally updated) without losing it.
     partition_stats = {}
     partition_fingerprints = {}
     for record in manifest["partitions"]:
@@ -315,15 +316,13 @@ def load_index(path: str | Path, engine: Engine | None = None) -> CorpusIndex:
             SpatialResolution(record["spatial"]),
             TemporalResolution(record["temporal"]),
         )
-        if "stats" in record:
-            try:
-                partition_stats[key] = IndexStats(**record["stats"])
-            except TypeError as exc:
-                raise PersistError(
-                    f"{record['file']!r}: malformed stats record: {exc}"
-                ) from exc
-        if "fingerprint" in record:
+        try:
+            partition_stats[key] = IndexStats(**record["stats"])
             partition_fingerprints[key] = record["fingerprint"]
+        except (KeyError, TypeError) as exc:
+            raise PersistError(
+                f"{record['file']!r}: malformed partition record: {exc!r}"
+            ) from exc
 
     return CorpusIndex(
         city=city,
@@ -335,7 +334,7 @@ def load_index(path: str | Path, engine: Engine | None = None) -> CorpusIndex:
         fill=manifest["fill"],
         partition_stats=partition_stats,
         partition_fingerprints=partition_fingerprints,
-        scope=manifest.get("scope"),
+        scope=manifest["scope"],
     )
 
 
@@ -368,11 +367,10 @@ def read_manifest(path: str | Path) -> dict:
     if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
         raise PersistError(f"{manifest_path}: not a {FORMAT_NAME} manifest")
     version = manifest.get("format_version")
-    if version not in SUPPORTED_VERSIONS:
-        supported = ", ".join(str(v) for v in SUPPORTED_VERSIONS)
+    if version != FORMAT_VERSION:
         raise PersistError(
             f"unsupported index format version {version!r} "
-            f"(this build reads versions {supported})"
+            f"(this build reads and writes version {FORMAT_VERSION})"
         )
     claimed = manifest.get("manifest_sha256")
     payload = {k: v for k, v in manifest.items() if k != "manifest_sha256"}

@@ -17,11 +17,7 @@ import numpy as np
 import pytest
 
 from repro.distributed import ClusterEngine, local_cluster
-from repro.mapreduce.engine import (
-    LocalEngine,
-    auto_chunk_size,
-    default_engine,
-)
+from repro.mapreduce.engine import LocalEngine, default_engine
 from repro.mapreduce.job import Engine, MapReduceJob
 from repro.utils.errors import MapReduceError, PersistError
 
@@ -93,15 +89,15 @@ class TestClusterEquivalence:
         assert len(stats.reduce_task_seconds) == len(dict(serial))
         assert stats.n_outputs == len(serial)
 
-    @pytest.mark.parametrize("chunk", [None, 2, "auto"])
-    def test_order_sensitive_reduce_is_stable(self, engine, chunk):
+    @pytest.mark.parametrize("granularity", [1, 2, "auto"])
+    def test_order_sensitive_reduce_is_stable(self, engine, granularity):
         inputs = [(k, list(range(k + 1))) for k in range(10)]
         serial, _ = LocalEngine().run(OrderSensitiveJob(), inputs)
-        engine.map_chunk_size = chunk
+        engine.steal_granularity = granularity
         try:
             clustered, _ = engine.run(OrderSensitiveJob(), inputs)
         finally:
-            engine.map_chunk_size = "auto"
+            engine.steal_granularity = "auto"
         assert clustered == serial
 
     def test_large_arrays_travel_through_the_plane(self, engine):
@@ -115,10 +111,23 @@ class TestClusterEquivalence:
         spool = engine.coordinator.spool_dir
         assert list(spool.glob("*.npy")) == []
 
-    def test_empty_input(self, engine):
-        outputs, stats = engine.run(WordCount(), [])
+    @pytest.mark.parametrize("backend", ["cluster", "local"])
+    def test_empty_input_reports_on_itself(self, engine, backend):
+        """An empty run (e.g. a query whose data sets share no resolution)
+        gets its own zeroed report — not the previous run's steals,
+        retries or fallback reason — on every engine."""
+        runner = engine if backend == "cluster" else LocalEngine()
+        runner.run(WordCount(), DOCS)
+        assert runner.last_run_report.n_map_tasks > 0
+        outputs, stats = runner.run(WordCount(), [])
         assert outputs == []
         assert stats.n_outputs == 0
+        report = runner.last_run_report
+        assert report.n_map_tasks == report.n_reduce_tasks == report.n_outputs == 0
+        assert report.worker_tasks == {} and report.worker_steals == {}
+        assert (report.retries, report.fallback, report.n_artifacts) == (0, None, 0)
+        if backend == "cluster":
+            assert engine.last_run_worker_tasks == {} and engine.last_run_retries == 0
 
     def test_concurrent_runs_share_the_cluster_safely(self, engine):
         """Two application threads driving one engine must not interleave
@@ -212,14 +221,7 @@ class TestEngineValidationAndPlumbing:
         with pytest.raises(MapReduceError):
             ClusterEngine(n_workers=0)
         with pytest.raises(MapReduceError):
-            ClusterEngine(map_chunk_size="huge")
-        with pytest.raises(MapReduceError):
             ClusterEngine(min_artifact_bytes=0)
-
-    def test_auto_chunking_matches_process_sizing(self):
-        assert auto_chunk_size(64, 4, "cluster") == 8
-        assert auto_chunk_size(17, 4, "cluster") == 3
-        assert auto_chunk_size(64, 1, "cluster") == 1
 
     def test_default_engine_builds_cluster_engine(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", "cluster")

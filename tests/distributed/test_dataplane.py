@@ -1,15 +1,16 @@
-"""Artifact data plane: dedup, spool/socket transports, read-only views."""
+"""Spool + socket transport tests (repro.distributed.dataplane).
+
+The transport-independent plane contract lives in
+``tests/mapreduce/test_plane_contract.py``; here is what only artifacts do:
+spool-vs-socket preference, checksum verification and bounded re-fetch,
+cache lifecycle.
+"""
 
 import numpy as np
 import pytest
 
-from repro.distributed.dataplane import (
-    ArtifactCache,
-    ArtifactPlane,
-    decode_artifact,
-    dumps,
-    loads,
-)
+from repro.distributed.dataplane import ArtifactCache, ArtifactPlane
+from repro.mapreduce.plane import dumps, loads
 from repro.utils.errors import MapReduceError
 
 
@@ -24,44 +25,13 @@ def no_fetch(name):  # a resolver transport that must not be used
     raise AssertionError(f"unexpected socket fetch of {name!r}")
 
 
-class TestPlaneRegistration:
-    def test_same_array_registers_once(self, plane):
-        array = np.arange(4096, dtype=np.float64)
-        ref1 = plane.register(array)
-        ref2 = plane.register(array)
-        assert ref1 == ref2
-        assert plane.n_artifacts == 1
-
-    def test_distinct_arrays_get_distinct_artifacts(self, plane):
-        a = np.arange(4096, dtype=np.float64)
-        b = np.arange(4096, dtype=np.float64)  # equal values, distinct object
-        assert plane.register(a) != plane.register(b)
-        assert plane.n_artifacts == 2
-
-    def test_eligibility(self, plane):
-        assert plane.eligible(np.zeros(4096))
-        assert not plane.eligible(np.zeros(4))  # below min_bytes
-        assert not plane.eligible("not an array")
-        assert not plane.eligible(np.array([object()], dtype=object))
-
-    def test_close_removes_spool_files_idempotently(self, tmp_path):
+class TestSpool:
+    def test_close_removes_spool_files(self, tmp_path):
         plane = ArtifactPlane(tmp_path, run_id="r", min_bytes=1)
         plane.register(np.arange(100))
-        files = list(tmp_path.glob("*.npy"))
-        assert len(files) == 1
-        plane.close()
+        assert len(list(tmp_path.glob("*.npy"))) == 1
         plane.close()
         assert list(tmp_path.glob("*.npy")) == []
-        with pytest.raises(MapReduceError):
-            plane.register(np.arange(100))
-
-    def test_non_contiguous_arrays_round_trip(self, plane, tmp_path):
-        base = np.arange(10000, dtype=np.float64).reshape(100, 100)
-        strided = base[::2, ::3]
-        payload = dumps({"x": strided}, plane)
-        cache = ArtifactCache()
-        out = loads(payload, lambda ref: cache.resolve(ref, no_fetch))
-        assert np.array_equal(out["x"], strided)
 
 
 class TestRoundTrip:
@@ -75,7 +45,7 @@ class TestRoundTrip:
             assert index == i
             assert np.array_equal(array, big)
         # One artifact, memory-mapped once, never fetched over the socket.
-        assert plane.n_artifacts == 1
+        assert plane.n_arrays == 1
         assert cache.n_mapped == 1
         assert cache.n_fetched == 0
         assert len(cache) == 1
@@ -102,24 +72,6 @@ class TestRoundTrip:
             assert np.array_equal(array, big)
         assert fetched == [plane.register(big)[0]]  # exactly one fetch
         assert cache.n_fetched == 1
-
-    def test_resolved_arrays_are_read_only(self, plane):
-        big = np.arange(4096, dtype=np.float64)
-        payload = dumps(big, plane)
-        cache = ArtifactCache()
-        spooled = loads(payload, lambda ref: cache.resolve(ref, no_fetch))
-        with pytest.raises(ValueError):
-            spooled[0] = 99.0
-        fetched = decode_artifact(plane.payload(plane.register(big)[0]))
-        with pytest.raises(ValueError):
-            fetched[0] = 99.0
-
-    def test_small_arrays_stay_inline(self, plane):
-        small = np.arange(8, dtype=np.float64)  # 64 bytes < min_bytes
-        payload = dumps(small, plane)
-        out = loads(payload, no_fetch)  # resolver never consulted
-        assert np.array_equal(out, small)
-        assert plane.n_artifacts == 0
 
     def test_shape_dtype_mismatch_rejected(self, plane):
         big = np.arange(4096, dtype=np.float64)
@@ -216,6 +168,23 @@ class TestCorruption:
         cache = ArtifactCache()
         with pytest.raises(MapReduceError, match="checksum mismatch"):
             cache.resolve(broken, lambda _n: bytes(flipped))
+
+    def test_reference_without_digest_is_malformed(self, plane):
+        """One wire version: every reference carries its SHA-256.  A
+        digest-less one is refused by name, never decoded unverified."""
+        _big, ref = self._registered(plane)
+        undigested = (ref[0], ref[1], ref[2], "", "")
+        calls = []
+
+        def fetch(name):
+            calls.append(name)
+            return plane.payload(name)
+
+        cache = ArtifactCache()
+        with pytest.raises(MapReduceError, match="malformed reference") as err:
+            cache.resolve(undigested, fetch)
+        assert ref[0] in str(err.value)
+        assert calls == [] and len(cache) == 0
 
     def test_stale_run_reply_fails_fast_without_retry(self, plane):
         _big, ref = self._registered(plane)

@@ -75,4 +75,3 @@ def test_wire_error_is_documented():
 def test_documented_version_matches_code():
     text = DOC_PATH.read_text(encoding="utf-8")
     assert f"Protocol version: **{protocol.PROTOCOL_VERSION}**" in text
-    assert f"revision **{protocol.PROTOCOL_REVISION}**" in text

@@ -1,6 +1,6 @@
 """Streaming-scheduler tests: stealing, elastic join, overlap determinism.
 
-The v2 scheduler's load-bearing promises, each pinned on a real localhost
+The scheduler's load-bearing promises, each pinned on a real localhost
 cluster:
 
 * **Work stealing** — a straggler holds at most its own prefetch pipeline;
@@ -9,7 +9,7 @@ cluster:
   immediately and steals real work.
 * **Overlapped-reduce determinism** — map results land in scrambled orders
   (randomized per-input sleeps, fine steal granularity), and outputs stay
-  bit-identical to serial, run after run, with streaming reduce on or off.
+  bit-identical to serial, run after run.
 * **Adaptive granularity** — a second run of the same job class sizes its
   tasks from the first run's measured throughput.
 
@@ -160,27 +160,12 @@ class TestOverlapDeterminism:
             outputs, _ = engine.run(job, inputs)
         assert outputs == _serial(job, inputs)
 
-    def test_streaming_reduce_off_matches_streaming_on(self):
-        inputs = [(i, i) for i in range(18)]
-        job = ScrambledSleepJob()
-        expected = _serial(job, inputs)
-        with local_cluster(2, streaming_reduce=False, steal_granularity=1) as engine:
-            barrier_outputs, barrier_stats = engine.run(job, inputs)
-        with local_cluster(2, streaming_reduce=True, steal_granularity=1) as engine:
-            streaming_outputs, streaming_stats = engine.run(job, inputs)
-        assert barrier_outputs == expected
-        assert streaming_outputs == expected
-        # Same task structure either way: one reduce task per group.
-        assert len(barrier_stats.reduce_task_seconds) == len(
-            streaming_stats.reduce_task_seconds
-        )
-
 
 class TestAdaptiveGranularity:
     def test_second_run_resizes_tasks_from_measured_throughput(self):
         inputs = [(i, 1) for i in range(32)]
         job = FixedSleepJob()
-        with local_cluster(2) as engine:  # map_chunk_size defaults to "auto"
+        with local_cluster(2) as engine:  # steal_granularity defaults to "auto"
             _, first = engine.run(job, inputs)
             outputs, second = engine.run(job, inputs)
         assert outputs == _serial(job, inputs)
@@ -214,8 +199,6 @@ class TestKnobValidation:
             bind="127.0.0.1:0",
             steal_granularity=4,
             prefetch_depth=3,
-            streaming_reduce=False,
         )
         assert engine.steal_granularity == 4
         assert engine.prefetch_depth == 3
-        assert engine.streaming_reduce is False

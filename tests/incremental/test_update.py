@@ -1,4 +1,4 @@
-"""Applier edge cases: no-op updates, drops, crashes, v1 indexes."""
+"""Applier edge cases: no-op updates, drops, crashes."""
 
 import json
 
@@ -14,7 +14,6 @@ from _helpers import (
 from repro.core.corpus import Corpus, CorpusIndex
 from repro.incremental import apply_update, plan_update, update_index
 from repro.persist import INDEX_MANIFEST
-from repro.persist.format import manifest_digest
 from repro.utils.errors import PersistError
 
 
@@ -117,47 +116,6 @@ class TestCrashSafety:
         corpus = Corpus(base_collection.datasets + [citibike], base_collection.city)
         with pytest.raises(PersistError, match="cannot reuse partition"):
             apply_update(index_copy, corpus, **RES_KWARGS)
-
-
-def _downgrade_to_v1(index_dir):
-    """Rewrite a v2 index's manifest as faithful format v1 (and re-sign)."""
-    path = index_dir / INDEX_MANIFEST
-    manifest = json.loads(path.read_text())
-    manifest.pop("manifest_sha256")
-    manifest.pop("fingerprints")
-    manifest.pop("scope")
-    manifest["format_version"] = 1
-    for record in manifest["partitions"]:
-        record.pop("fingerprint", None)
-        record.pop("stats", None)
-    manifest["manifest_sha256"] = manifest_digest(manifest)
-    path.write_text(json.dumps(manifest))
-
-
-class TestFormatV1Compatibility:
-    def test_v1_index_still_loads(self, index_copy, base_corpus):
-        reference = CorpusIndex.load(index_copy)
-        _downgrade_to_v1(index_copy)
-        loaded = CorpusIndex.load(index_copy)
-        assert loaded.partition_fingerprints == {}
-        assert loaded.partition_stats == {}
-        assert_query_results_equal(
-            reference.query(n_permutations=15, seed=0),
-            loaded.query(n_permutations=15, seed=0),
-        )
-
-    def test_v1_index_updates_as_full_rebuild(self, index_copy, base_corpus):
-        """No fingerprints -> reuse cannot be proven -> rebuild everything;
-        the result is a v2 index bit-identical to a from-scratch build."""
-        _downgrade_to_v1(index_copy)
-        plan = plan_update(index_copy, base_corpus, **RES_KWARGS)
-        assert plan.counts["rebuild"] == 4 and plan.counts["keep"] == 0
-        assert all("format v1" in e.reason for e in plan.by_action("rebuild"))
-        report = apply_update(index_copy, base_corpus, **RES_KWARGS, plan=plan)
-        assert report.applied and report.n_rebuilt == 4
-        scratch = index_copy.parent / "scratch"
-        base_corpus.build_index(**RES_KWARGS).save(scratch)
-        assert_index_dirs_bit_identical(index_copy, scratch)
 
 
 class TestDryRunAndConvenience:

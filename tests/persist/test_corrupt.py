@@ -73,10 +73,13 @@ class TestManifestFailures:
         with pytest.raises(PersistError, match="not a repro-corpus-index"):
             CorpusIndex.load(broken_dir)
 
-    def test_wrong_format_version_rejected(self, broken_dir):
+    @pytest.mark.parametrize("version", [999, 1, None])
+    def test_wrong_format_version_rejected(self, broken_dir, version):
+        """Only the version this build writes is read: a future one, the
+        retired version 1 and a missing field are all typed errors."""
         path = broken_dir / INDEX_MANIFEST
         manifest = json.loads(path.read_text())
-        manifest["format_version"] = 999
+        manifest["format_version"] = version
         path.write_text(json.dumps(manifest))
         with pytest.raises(PersistError, match="unsupported index format version"):
             CorpusIndex.load(broken_dir)
