@@ -241,8 +241,11 @@ class FeatureExtractor:
         for positions in self._intervals(function):
             sliced = function.slice_steps(positions)
             flat = sliced.flat_values()
-            join = compute_join_tree(sliced.graph, flat, sliced.vertex_order(True))
-            split = compute_split_tree(sliced.graph, flat, sliced.vertex_order(False))
+            # The ascending order is the descending one reversed (both keys
+            # are mirrored and the order is total): one sort serves both.
+            descending = sliced.vertex_order(True)
+            join = compute_join_tree(sliced.graph, flat, descending)
+            split = compute_split_tree(sliced.graph, flat, descending[::-1])
             thresholds = salient_thresholds(join, split)
             pooled_max.append(thresholds.salient_max_values)
             pooled_min.append(thresholds.salient_min_values)

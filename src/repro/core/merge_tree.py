@@ -2,8 +2,7 @@
 
 The join tree tracks connected components of super-level sets under a
 descending sweep of the function value; the split tree does the same for
-sub-level sets under an ascending sweep.  Both are computed with a single
-union-find sweep in ``O(N log N + N α(N))`` time.
+sub-level sets under an ascending sweep.
 
 Persistence pairing happens during the sweep (Procedure ComputeJoinTree,
 line 16): when two components merge at a saddle, the *younger* component —
@@ -18,6 +17,40 @@ Simulated perturbation: all comparisons use the strict total order
 functions.  Degenerate saddles where more than two components meet are merged
 in one step, pairing every non-elder creator with the saddle — equivalent to
 splitting the saddle into simple saddles (§B.1).
+
+Contract, then sweep
+--------------------
+A vertex-at-a-time union-find sweep spends almost all of its steps on
+regular vertices, which only extend a component.  The sweep here visits
+critical structure only, in three stages:
+
+1. *Basins.*  Every vertex points at its steepest earlier neighbour — the
+   adjacent vertex of smallest sweep rank, itself at a leaf extremum — and
+   pointer jumping (``ptr = ptr[ptr]``, at most ⌈log₂ n⌉ + 1 rounds) labels
+   it with the extremum its steepest path ends at.  Every vertex on that
+   path is swept before the vertex itself, so the moment a vertex enters
+   the sweep it is connected to its extremum: at every level its component
+   is its extremum's component.  The vertices of a basin can therefore be
+   contracted into the extremum without changing any component, and so
+   without changing a single pair.
+2. *One edge per basin pair.*  Only an edge between two basins can join
+   two components, at the moment its lower endpoint is swept.  Of all edges
+   between the same two basins the first swept one joins them (or finds
+   them joined through a third basin); every later one finds them in one
+   component and merges nothing.  So one edge per unordered basin pair is
+   kept, ordered by the sweep rank of its lower endpoint.
+3. *Elder-rule union-find over basins* along those edges, grouped by lower
+   endpoint so that a degenerate saddle still merges all its components in
+   one step.
+
+Stages 1 and 2 are NumPy over the graph's edge list, ``O(E log E)``; stage 3
+is the only interpreted loop, one step per adjacent basin pair — ``O(B log
+B)`` for ``B`` such pairs (path compression alone; the elder always becomes
+the root, which is what makes a root its component's creator).  A smooth
+21,504-vertex hourly function has tens to hundreds of basins.  The
+per-vertex sweep this replaces is kept as the oracle in
+``tests/core/_reference_sweep.py``; extrema, pairs, edges and root are
+bit-identical to it.
 """
 
 from __future__ import annotations
@@ -47,6 +80,9 @@ class PersistencePair:
 class MergeTree:
     """A join or split tree plus the persistence pairing of its extrema.
 
+    The pairing is held as three aligned arrays, one entry per extremum;
+    :attr:`pairs` is the same information as objects.
+
     Attributes
     ----------
     kind:
@@ -54,8 +90,13 @@ class MergeTree:
         ``"split"`` (tracks sub-level sets; leaves are minima).
     extrema:
         Vertex ids of the leaf extrema, in sweep order (most extreme first).
-    pairs:
-        One :class:`PersistencePair` per extremum, aligned with ``extrema``.
+    destroyers:
+        The saddle vertex that destroys each extremum's component; ``-1``
+        for an essential extremum, whose component survives the sweep.
+    persistence:
+        ``|f(extremum) - f(destroyer)|``; for an essential extremum the
+        destroyer is taken to be :attr:`root`, so its persistence spans the
+        global range.
     edges:
         Tree edges ``(child_vertex, parent_vertex)`` discovered at merges;
         together with the leaf-to-saddle chains these form the merge tree of
@@ -69,7 +110,8 @@ class MergeTree:
 
     kind: str
     extrema: np.ndarray
-    pairs: list[PersistencePair]
+    destroyers: np.ndarray
+    persistence: np.ndarray
     edges: list[tuple[int, int]]
     root: int
     values: np.ndarray
@@ -79,9 +121,17 @@ class MergeTree:
         """Number of leaf extrema (= number of persistence pairs)."""
         return int(self.extrema.size)
 
-    def persistence_values(self) -> np.ndarray:
-        """Persistence of each extremum, aligned with :attr:`extrema`."""
-        return np.array([p.persistence for p in self.pairs], dtype=np.float64)
+    @property
+    def pairs(self) -> list[PersistencePair]:
+        """One :class:`PersistencePair` per extremum, aligned with ``extrema``."""
+        return [
+            PersistencePair(creator, destroyer, persistence)
+            for creator, destroyer, persistence in zip(
+                self.extrema.tolist(),
+                self.destroyers.tolist(),
+                self.persistence.tolist(),
+            )
+        ]
 
     def extremum_values(self) -> np.ndarray:
         """Function value at each extremum, aligned with :attr:`extrema`."""
@@ -89,10 +139,10 @@ class MergeTree:
 
     def persistence_of(self, vertex: int) -> float:
         """Persistence of the extremum at ``vertex``."""
-        for pair in self.pairs:
-            if pair.creator == vertex:
-                return pair.persistence
-        raise TopologyError(f"vertex {vertex} is not a leaf extremum of this tree")
+        hit = np.flatnonzero(self.extrema == vertex)
+        if hit.size == 0:
+            raise TopologyError(f"vertex {vertex} is not a leaf extremum of this tree")
+        return float(self.persistence[hit[0]])
 
 
 def compute_join_tree(
@@ -126,62 +176,56 @@ def compute_split_tree(
     return _sweep(graph, flat_values, order, kind="split")
 
 
-def _earlier_neighbors(
-    graph: DomainGraph, pos: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """CSR adjacency restricted to already-processed neighbors.
+def _contract(ptr: np.ndarray) -> np.ndarray:
+    """Pointer-jump ``ptr`` to its fixed points: the root of every entry.
 
-    Returns ``(indptr, nbrs)`` such that ``nbrs[indptr[v]:indptr[v + 1]]``
-    are exactly the neighbors of ``v`` with a smaller sweep rank.  Built
-    entirely from vectorized NumPy over the graph's regular structure
-    (spatial pairs replicated per step + temporal chains), so the Python
-    sweep below never touches ``graph.neighbors`` — the per-vertex array
-    concatenations that used to dominate the sweep's constant factor.
+    ``ptr[i] <= i`` with equality at the roots.  Each round doubles the
+    distance every pointer spans, so a chain of ``L`` links is resolved after
+    ⌈log₂ L⌉ rounds and one more finds nothing left to do.
     """
-    n = graph.n_vertices
-    n_regions, n_steps = graph.n_regions, graph.n_steps
-    src_parts: list[np.ndarray] = []
-    dst_parts: list[np.ndarray] = []
-    spatial = graph.spatial_pairs
-    if spatial.size:
-        base = np.arange(n_steps, dtype=np.int64) * n_regions
-        a = (base[:, None] + spatial[:, 0]).ravel()
-        b = (base[:, None] + spatial[:, 1]).ravel()
-        src_parts += [a, b]
-        dst_parts += [b, a]
-    if n_steps > 1:
-        u = np.arange(n - n_regions, dtype=np.int64)
-        src_parts += [u, u + n_regions]
-        dst_parts += [u + n_regions, u]
-    if not src_parts:
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        return indptr, np.zeros(0, dtype=np.int64)
-    src = np.concatenate(src_parts)
-    dst = np.concatenate(dst_parts)
-    keep = pos[dst] < pos[src]
-    src, dst = src[keep], dst[keep]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    nbrs = dst[np.argsort(src, kind="stable")]
-    return indptr, nbrs
+    while True:
+        jumped = ptr[ptr]
+        if np.array_equal(jumped, ptr):
+            return ptr
+        ptr = jumped
+
+
+def _first_basin_edges(
+    graph: DomainGraph, rank: np.ndarray, basin_of: np.ndarray, n_basins: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per pair of adjacent basins, the edge between them that is swept first.
+
+    ``basin_of`` is vertex-indexed.  An edge is swept when its lower
+    endpoint is, so per unordered basin pair the smallest rank of a lower
+    endpoint is kept.  Returns ``(when, low, high)`` sorted by ``when``: the
+    lower endpoint's rank and the pair's two basin numbers, ``low < high``.
+    """
+    u, v = graph.edge_list
+    basin_u, basin_v = basin_of[u], basin_of[v]
+    cross = np.flatnonzero(basin_u != basin_v)
+    basin_u, basin_v = basin_u[cross], basin_v[cross]
+    when = np.maximum(rank[u[cross]], rank[v[cross]])
+    pair = np.minimum(basin_u, basin_v) * n_basins + np.maximum(basin_u, basin_v)
+    by_pair = np.argsort(pair)
+    pair = pair[by_pair]
+    is_first = np.ones(pair.size, dtype=bool)
+    is_first[1:] = pair[1:] != pair[:-1]
+    starts = np.flatnonzero(is_first)
+    first = np.minimum.reduceat(when[by_pair], starts)
+    by_time = np.argsort(first)
+    low, high = np.divmod(pair[starts][by_time], n_basins)
+    return first[by_time], low, high
 
 
 def _sweep(
     graph: DomainGraph, flat_values: np.ndarray, order: np.ndarray, kind: str
 ) -> MergeTree:
-    """Union-find sweep shared by join ("descending") and split ("ascending").
+    """Contracted sweep shared by join ("descending") and split ("ascending").
 
     ``order`` lists vertices from most to least extreme for the sweep
-    direction.  ``pos[v]`` is the sweep rank of ``v``; a neighbour with a
-    smaller rank has already been processed and belongs to some component.
-
-    The sweep itself is inherently sequential, so the hot loop is built on
-    flat arrays instead of per-vertex dict juggling: a list-backed
-    union-find with path compression and union by rank, component metadata
-    (creating extremum, current head) stored at the representative's slot,
-    and the earlier-neighbor adjacency precomputed in one vectorized pass
-    (:func:`_earlier_neighbors`).  Output — extrema order, pairs, edges,
-    root — is bit-identical to the historical dict-based implementation.
+    direction; ``rank[v]`` is the sweep rank of ``v``, and a neighbour of
+    smaller rank is *earlier*.  See the module docstring for why contracting
+    basins and keeping one edge per basin pair leaves every pair unchanged.
     """
     n = flat_values.size
     if n == 0:
@@ -189,127 +233,90 @@ def _sweep(
     if order.shape != (n,):
         raise TopologyError("vertex order length mismatch")
     values = np.asarray(flat_values, dtype=np.float64)
+    all_ranks = np.arange(n, dtype=np.int64)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = all_ranks
 
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n)
+    # Stage 1, in rank space (entry r is the vertex order[r]): steepest
+    # earlier neighbour, then the extremum its steepest path ends at.
+    steepest = graph.neighbor_min(rank)[order]
+    is_extremum = steepest == all_ranks
+    extrema = order[is_extremum].astype(np.int64, copy=False)
+    n_basins = extrema.size
+    # Basins are numbered in sweep order of their extrema, so the elder of
+    # two components is always the one holding the smaller number.
+    basin = (np.cumsum(is_extremum, dtype=np.int64) - 1)[_contract(steepest)]
 
-    indptr_arr, nbrs_arr = _earlier_neighbors(graph, pos)
-    # Python lists: scalar indexing in the sequential sweep is several times
-    # faster on lists than on NumPy arrays (no per-access boxing).
-    indptr = indptr_arr.tolist()
-    nbrs = nbrs_arr.tolist()
-    pos_list = pos.tolist()
-    values_list = values.ravel().tolist()
-
-    parent = list(range(n))
-    rank = [0] * n
-    # Per-component metadata, stored at the union-find representative's slot.
-    creator = [0] * n
-    head = [0] * n
-
-    extrema: list[int] = []
-    pairs: list[PersistencePair] = []
+    # Stage 3 state: union-find over basins whose root is the component's
+    # elder basin, i.e. its creator.
+    parent = list(range(n_basins))
+    # A component's head is the vertex its next tree edge starts from: its
+    # creator until a saddle takes over.  Kept at the component's root.
+    head = extrema.tolist()
+    destroyer = [-1] * n_basins
     edges: list[tuple[int, int]] = []
-    n_components = 0
 
-    def union(a: int, b: int) -> int:
-        """Merge the sets rooted at ``a`` and ``b``; returns the new root."""
-        if rank[a] < rank[b]:
-            a, b = b, a
-        parent[b] = a
-        if rank[a] == rank[b]:
-            rank[a] += 1
-        return a
+    def find(b: int) -> int:
+        root = b
+        while parent[root] != root:
+            root = parent[root]
+        while parent[b] != root:
+            parent[b], b = root, parent[b]
+        return root
 
-    for v in order.tolist():
-        lo, hi = indptr[v], indptr[v + 1]
-        if lo == hi:
-            # v creates a new component: it is a leaf extremum.
-            extrema.append(v)
-            creator[v] = v
-            head[v] = v
-            n_components += 1
-            continue
-        # Distinct components among the earlier neighbors (2-3 neighbors for
-        # typical domains: a linear membership scan beats set machinery).
-        roots: list[int] = []
-        for i in range(lo, hi):
-            u = nbrs[i]
-            r = u
-            while parent[r] != r:
-                r = parent[r]
-            while parent[u] != r:  # path compression
-                parent[u], u = r, parent[u]
-            if r not in roots:
-                roots.append(r)
-        r = roots[0]
-        if len(roots) == 1:
-            # Regular vertex: extend the component; its head only moves at
-            # saddles, so the metadata is re-homed to the new root's slot.
-            c, h = creator[r], head[r]
-            new_root = union(r, v)
-            creator[new_root] = c
-            head[new_root] = h
-            continue
-        # v is a destroyer: len(roots) components merge here (2 for Morse
-        # inputs, possibly more for degenerate PL saddles).
-        infos = [(creator[r], head[r], r) for r in roots]
-        # The elder component is the one whose creator is most extreme,
-        # i.e. has the smallest sweep rank.
-        infos.sort(key=lambda info: pos_list[info[0]])
-        elder_creator = infos[0][0]
-        value_v = values_list[v]
-        for _c, h, _r in infos:
-            edges.append((h, v))
-        for c, _h, _r in infos[1:]:
-            pairs.append(
-                PersistencePair(
-                    creator=c,
-                    destroyer=v,
-                    persistence=abs(values_list[c] - value_v),
-                )
-            )
-        new_root = r
-        for other in roots[1:]:
-            new_root = union(new_root, other)
-        new_root = union(new_root, v)
-        creator[new_root] = elder_creator
-        head[new_root] = v
-        n_components -= len(roots) - 1
+    def merge(saddle: int, roots: list[int]) -> None:
+        """``saddle`` joins the components rooted at ``roots``."""
+        roots.sort()
+        elder = roots[0]
+        for root in roots:
+            edges.append((head[root], saddle))
+        for root in roots[1:]:
+            destroyer[root] = saddle
+            parent[root] = elder
+        head[elder] = saddle
 
-    # Essential pairs: one per surviving component (one for connected
-    # graphs).  Components are emitted in the order their *last* vertex was
-    # swept (ascending), matching the insertion order the historical
-    # dict-keyed implementation produced via its pop/re-insert cycle.
+    if n_basins > 1:
+        when, low, high = _first_basin_edges(graph, rank, basin[rank], n_basins)
+        # Of each edge's two basins one is the lower endpoint's own; all
+        # edges of one saddle share it.
+        own = basin[when]
+        saddle, roots = -1, []
+        for vertex, b_own, b_other in zip(
+            order[when].tolist(), own.tolist(), (low + high - own).tolist()
+        ):
+            if vertex != saddle:
+                if len(roots) > 1:
+                    merge(saddle, roots)
+                saddle, roots = vertex, [find(b_own)]
+            root = find(b_other)
+            if root not in roots:
+                roots.append(root)
+        if len(roots) > 1:
+            merge(saddle, roots)
+
+    # Essential extrema: one per surviving component (one for connected
+    # graphs).  Each contributes an edge to the sweep's last vertex, in the
+    # order the components' own last vertices were swept.
     last = int(order[-1])
-    value_last = values_list[last]
-    if n_components == 1:
-        r = last
-        while parent[r] != r:
-            r = parent[r]
-        survivor_roots = [r]
-    else:
-        last_touch: dict[int, int] = {}
-        for rank_i, v in enumerate(order.tolist()):
-            r = v
-            while parent[r] != r:
-                r = parent[r]
-            last_touch[r] = rank_i
-        survivor_roots = sorted(last_touch, key=last_touch.__getitem__)
-    for root in survivor_roots:
-        c = creator[root]
-        span = abs(values_list[c] - value_last)
-        pairs.append(PersistencePair(creator=c, destroyer=-1, persistence=span))
+    destroyers = np.array(destroyer, dtype=np.int64)
+    survivors = np.flatnonzero(destroyers < 0).tolist()
+    if len(survivors) > 1:
+        last_rank = (n - 1 - np.unique(basin[::-1], return_index=True)[1]).tolist()
+        for b in range(n_basins):
+            root = find(b)
+            last_rank[root] = max(last_rank[root], last_rank[b])
+        survivors.sort(key=last_rank.__getitem__)
+    for root in survivors:
         if head[root] != last:
             edges.append((head[root], last))
 
-    # Align pairs with the extrema order.
-    by_creator = {p.creator: p for p in pairs}
-    aligned = [by_creator[e] for e in extrema]
+    flat = values.ravel()
+    ends = flat[np.where(destroyers < 0, last, destroyers)]
     return MergeTree(
         kind=kind,
-        extrema=np.array(extrema, dtype=np.int64),
-        pairs=aligned,
+        extrema=extrema,
+        destroyers=destroyers,
+        persistence=np.abs(flat[extrema] - ends),
         edges=edges,
         root=last,
         values=values,

@@ -228,12 +228,7 @@ def evaluate_pair_task(
     if slices is None:
         return outcome
     s1, s2 = slices
-    graph = DomainGraph(
-        n_regions=fn1.function.n_regions,
-        n_steps=s1.stop - s1.start,
-        spatial_pairs=fn1.function.graph.spatial_pairs,
-        step_labels=fn1.function.graph.step_labels[s1],
-    )
+    graph = fn1.function.graph.slice_steps(s1)
     for feature_type in clause.feature_types:
         outcome.n_evaluated += 1
         fs1 = _resolve_features(fn1, feature_type, clause, extractor)
@@ -338,12 +333,7 @@ def evaluate_pair_chunk(
         )
         graph = graphs.get(graph_key)
         if graph is None:
-            graph = DomainGraph(
-                n_regions=fn1.function.n_regions,
-                n_steps=s1.stop - s1.start,
-                spatial_pairs=fn1.function.graph.spatial_pairs,
-                step_labels=fn1.function.graph.step_labels[s1],
-            )
+            graph = fn1.function.graph.slice_steps(s1)
             graphs[graph_key] = graph
         for feature_type in clause.feature_types:
             outcome.n_evaluated += 1

@@ -140,7 +140,8 @@ class ScalarFunction:
         ``(value, vertex_id)``.  Mirroring the tie-break along with the value
         direction keeps the two sweeps (join/split) consistent: for any pair
         of equal-valued vertices the one treated as *higher* in the join sweep
-        is also *higher* in the split sweep.
+        is also *higher* in the split sweep.  It also makes the ascending
+        order exactly the descending one reversed.
         """
         flat = self.flat_values()
         ids = np.arange(flat.size)
@@ -162,16 +163,10 @@ class ScalarFunction:
             raise DataError("cannot slice a function to zero time steps")
         if not np.array_equal(pos, np.arange(pos[0], pos[0] + pos.size)):
             raise DataError("seasonal interval slices must be contiguous")
-        graph = DomainGraph(
-            n_regions=self.n_regions,
-            n_steps=pos.size,
-            spatial_pairs=self.graph.spatial_pairs,
-            step_labels=self.graph.step_labels[pos],
-        )
         return ScalarFunction(
             function_id=self.function_id,
             values=self.values[pos, :],
-            graph=graph,
+            graph=self.graph.slice_steps(pos),
             spatial=self.spatial,
             temporal=self.temporal,
             dataset=self.dataset,

@@ -73,8 +73,8 @@ def salient_thresholds(
     join_tree: MergeTree, split_tree: MergeTree
 ) -> SalientThresholds:
     """Salient θ⁺/θ⁻ for one seasonal interval from its merge trees."""
-    max_mask = salient_cluster(join_tree.persistence_values())
-    min_mask = salient_cluster(split_tree.persistence_values())
+    max_mask = salient_cluster(join_tree.persistence)
+    min_mask = salient_cluster(split_tree.persistence)
 
     max_values = join_tree.extremum_values()[max_mask]
     min_values = split_tree.extremum_values()[min_mask]

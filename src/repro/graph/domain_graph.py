@@ -13,10 +13,44 @@ exactly matching the paper's 1-D case.
 
 from __future__ import annotations
 
+import copy
+from functools import cached_property
+
 import numpy as np
 
 from ..utils.errors import DataError
 from ..spatial.adjacency import neighbors_from_pairs
+
+
+class _RegionAdjacency:
+    """Region-level adjacency structures of one ``spatial_pairs`` array.
+
+    Built on first use and shared by every step-slice of a graph
+    (:meth:`DomainGraph.slice_steps`): they depend on the regions only,
+    never on the time axis.
+    """
+
+    def __init__(self, n_regions: int, pairs: np.ndarray) -> None:
+        self.n_regions = n_regions
+        self.pairs = pairs
+
+    @cached_property
+    def region_lists(self) -> list[np.ndarray]:
+        """One sorted neighbour array per region."""
+        return neighbors_from_pairs(self.n_regions, self.pairs)
+
+    @cached_property
+    def closed_neighborhoods(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, members)``: region ``r`` and its neighbours are
+        ``members[starts[r]:starts[r + 1]]`` — the directed pairs plus one
+        self-loop per region, stably sorted by source.  Every region owns a
+        non-empty segment, which is the layout ``ufunc.reduceat`` needs."""
+        loops = np.arange(self.n_regions, dtype=np.int64)
+        src = np.concatenate([loops, self.pairs[:, 0], self.pairs[:, 1]])
+        dst = np.concatenate([loops, self.pairs[:, 1], self.pairs[:, 0]])
+        by_src = np.argsort(src, kind="stable")
+        starts = np.searchsorted(src[by_src], loops)
+        return starts, dst[by_src]
 
 
 class DomainGraph:
@@ -60,7 +94,28 @@ class DomainGraph:
         if labels.shape != (n_steps,):
             raise DataError("step_labels must have one entry per time step")
         self.step_labels = labels
-        self._region_neighbors = neighbors_from_pairs(self.n_regions, pairs)
+        self._adjacency = _RegionAdjacency(self.n_regions, pairs)
+
+    def slice_steps(self, positions: np.ndarray | slice) -> "DomainGraph":
+        """The same regions and adjacency over a subset of the time steps.
+
+        The slice shares this graph's lazily built region-level structures,
+        so slicing a function into seasonal intervals builds them at most
+        once.
+        """
+        sliced = copy.copy(self)  # via __getstate__: without the edge list
+        sliced.step_labels = self.step_labels[positions]
+        sliced.n_steps = sliced.step_labels.size
+        if sliced.n_steps < 1:
+            raise DataError("cannot slice a domain graph to zero time steps")
+        return sliced
+
+    def __getstate__(self) -> dict:
+        """Copies and pickles leave the cached :attr:`edge_list` behind: it
+        is 2|E| integers any holder rebuilds in one vectorised pass."""
+        state = self.__dict__.copy()
+        state.pop("edge_list", None)
+        return state
 
     # -- vertex indexing -----------------------------------------------------
 
@@ -98,7 +153,7 @@ class DomainGraph:
         region = v % n
         step = v // n
         base = step * n
-        parts = [base + self._region_neighbors[region]]
+        parts = [base + self._adjacency.region_lists[region]]
         if step > 0:
             parts.append(np.array([v - n], dtype=np.int64))
         if step + 1 < self.n_steps:
@@ -115,19 +170,42 @@ class DomainGraph:
 
     def region_neighbors(self, region: int) -> np.ndarray:
         """Spatially adjacent regions of ``region``."""
-        return self._region_neighbors[region]
+        return self._adjacency.region_lists[region]
 
-    def iter_edges(self):
-        """Yield every undirected edge ``(u, v)`` with ``u < v`` once."""
+    @cached_property
+    def edge_list(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every undirected edge once, as parallel endpoint arrays ``(u, v)``.
+
+        ``u < v`` wherever ``spatial_pairs`` lists the smaller region first.
+        Spatial edges come first (step-major, in ``spatial_pairs`` order),
+        then temporal ones.  Cached: the join and the split sweep of a
+        function read the same arrays.
+        """
         n = self.n_regions
-        for step in range(self.n_steps):
-            base = step * n
-            for i, j in self.spatial_pairs:
-                yield base + int(i), base + int(j)
-        for step in range(self.n_steps - 1):
-            base = step * n
-            for region in range(n):
-                yield base + region, base + region + n
+        base = np.arange(self.n_steps, dtype=np.int64)[:, None] * n
+        earlier = np.arange(self.n_vertices - n, dtype=np.int64)
+        u = np.concatenate([(base + self.spatial_pairs[:, 0]).ravel(), earlier])
+        v = np.concatenate([(base + self.spatial_pairs[:, 1]).ravel(), earlier + n])
+        return u, v
+
+    def neighbor_min(self, rank: np.ndarray) -> np.ndarray:
+        """``min(rank[v], min of rank over v's neighbours)`` for every vertex.
+
+        With ``rank`` a sweep order this names each vertex's steepest
+        earlier neighbour (itself, at an extremum).  Spatial edges are
+        reduced per region over the source-sorted pairs; temporal edges have
+        unique sources in each direction, so two shifted ``np.minimum``
+        calls cover them.  Neither uses ``ufunc.at``, which NumPy < 2 runs
+        an order of magnitude slower.
+        """
+        n = self.n_regions
+        starts, members = self._adjacency.closed_neighborhoods
+        grid = rank.reshape(self.n_steps, n)
+        out = np.minimum.reduceat(grid[:, members], starts, axis=1).ravel()
+        if self.n_steps > 1:
+            np.minimum(out[:-n], rank[n:], out=out[:-n])
+            np.minimum(out[n:], rank[:-n], out=out[n:])
+        return out
 
     @property
     def is_time_series(self) -> bool:

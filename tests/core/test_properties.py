@@ -33,13 +33,13 @@ from repro.spatial.adjacency import grid_adjacency, neighbors_from_pairs
 def test_property_max_persistence_stable_under_perturbation(values, eps, seed):
     sf = ScalarFunction.time_series("p.v", values)
     tree = compute_join_tree(sf.graph, sf.flat_values())
-    base_max = tree.persistence_values().max()
+    base_max = tree.persistence.max()
 
     rng = np.random.default_rng(seed)
     noise = rng.uniform(-eps, eps, len(values))
     noisy = ScalarFunction.time_series("p.n", np.asarray(values) + noise)
     noisy_tree = compute_join_tree(noisy.graph, noisy.flat_values())
-    noisy_max = noisy_tree.persistence_values().max()
+    noisy_max = noisy_tree.persistence.max()
 
     assert abs(noisy_max - base_max) <= 2 * eps + 1e-9
 

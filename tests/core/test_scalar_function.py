@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.scalar_function import ScalarFunction
 from repro.data.aggregation import FunctionSpec, aggregate
@@ -63,8 +65,12 @@ class TestConstruction:
 
 
 class TestVertexOrder:
-    def test_descending_is_reverse_of_ascending(self):
-        sf = ScalarFunction.time_series("t.f", [3.0, 1.0, 3.0, 2.0])
+    @given(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 2.0]), min_size=1, max_size=40))
+    def test_property_descending_is_reverse_of_ascending(self, values):
+        # FeatureExtractor sorts once and sweeps the split tree over the
+        # reversed join order; ties (signed zeros included) must not tell
+        # the two apart.
+        sf = ScalarFunction.time_series("t.f", values)
         desc = sf.vertex_order(descending=True)
         asc = sf.vertex_order(descending=False)
         assert desc.tolist() == asc[::-1].tolist()

@@ -1,5 +1,7 @@
 """Tests for the spatio-temporal domain graph of §3.1."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -68,10 +70,10 @@ class TestNeighbors:
             for u in g.neighbors(v):
                 assert v in g.neighbors(int(u))
 
-    def test_iter_edges_matches_neighbor_counts(self):
+    def test_edge_list_matches_neighbor_counts(self):
         pairs = grid_adjacency(2, 3)
         g = DomainGraph(6, 3, pairs)
-        edges = list(g.iter_edges())
+        edges = list(zip(*(endpoints.tolist() for endpoints in g.edge_list)))
         assert len(edges) == g.n_edges
         assert len(set(edges)) == len(edges)  # no duplicates
         degree = np.zeros(g.n_vertices, dtype=int)
@@ -87,3 +89,33 @@ class TestNeighbors:
         lists = g.neighbor_lists()
         for v in range(g.n_vertices):
             assert np.array_equal(np.sort(lists[v]), np.sort(g.neighbors(v)))
+
+
+class TestStepSlices:
+    def test_slices_share_the_lazily_built_region_structures(self):
+        g = DomainGraph(4, 6, grid_adjacency(2, 2), step_labels=np.arange(10, 16))
+        early, late = g.slice_steps(np.arange(0, 3)), g.slice_steps(slice(3, 6))
+        assert (early.n_steps, late.n_steps) == (3, 3)
+        assert late.step_labels.tolist() == [13, 14, 15]
+        # Built on first use by any of them, then the same objects for all.
+        assert early.region_neighbors(0) is g.region_neighbors(0)
+        assert early.region_neighbors(0) is late.region_neighbors(0)
+        assert sorted(late.neighbors(late.vertex(0, 1)).tolist()) == [0, 5, 6, 8]
+        with pytest.raises(DataError, match="zero time steps"):
+            g.slice_steps(slice(3, 3))
+
+    def test_cached_edge_list_stays_out_of_slices_and_pickles(self):
+        g = DomainGraph(4, 6, grid_adjacency(2, 2))
+        u, _ = g.edge_list
+        assert g.edge_list[0] is u  # cached: both sweeps read the same arrays
+        assert "edge_list" not in pickle.loads(pickle.dumps(g)).__dict__
+        sliced = g.slice_steps(slice(0, 2))
+        assert sliced.edge_list[0].size == sliced.n_edges == 4 * 2 + 4
+        assert g.edge_list[0] is u
+
+    def test_neighbor_min_is_the_closed_neighbourhood_minimum(self):
+        # Region 3 has no spatial neighbour; step 0 and 2 have one temporal.
+        g = DomainGraph(4, 3, np.array([[0, 1], [1, 2]]))
+        rank = np.random.default_rng(0).permutation(g.n_vertices)
+        expected = [min(rank[v], *rank[g.neighbors(v)]) for v in range(g.n_vertices)]
+        assert g.neighbor_min(rank).tolist() == expected
