@@ -14,15 +14,18 @@ miniature:
 * :class:`IndexPartitionJob` maps over (data set, resolution) partitions and
   reduces the materialized functions into one :class:`DatasetIndex` per data
   set.
-* :class:`RelationshipPairJob` maps over individual function pairs
-  (:class:`~repro.core.operator.PairTask`) and reduces their outcomes into
-  one :class:`~repro.core.operator.RelationReport` per data set pair.
+* :class:`RelationshipPairJob` maps over chunks of *candidates*
+  (:class:`~repro.core.operator.PairTask`: function pairs the driver
+  already scored as feature-related, see :mod:`repro.core.operator`), runs
+  their significance tests and reduces the survivors into one result list
+  per data set pair.
 
 ``build_index(..., n_workers=4, executor="thread")`` and
 ``query(..., n_workers=4, executor="thread")`` therefore fan work out across
 cores while producing **bit-identical** results to the serial path: map
 outputs are reassembled in canonical order and every significance test
-spawns its own per-pair RNG (see ``operator._pair_rng``).
+seeds its own stream from an integer pair seed (see
+``operator._pair_seed``).
 ``executor="process"`` extends the same guarantee to worker *processes*
 (jobs and payloads are pickle-clean; large matrices travel through the
 shared-memory plane), which also parallelizes the pure-Python merge-tree
@@ -45,15 +48,13 @@ from ..spatial.city import CityModel
 from ..spatial.resolution import SpatialResolution, viable_spatial_resolutions
 from ..temporal.resolution import TemporalResolution, viable_temporal_resolutions
 from ..utils.errors import DataError, QueryError
-from ..utils.rng import RngLike, ensure_rng
+from ..utils.rng import RngLike
 from .clause import Clause
 from .features import FeatureExtractor
 from .operator import (
     SIGNIFICANCE_CHUNK_TASKS,
     DatasetIndex,
     IndexedFunction,
-    PairTask,
-    RelationReport,
     RelationshipResult,
     enumerate_pair_tasks,
     evaluate_pair_chunk,
@@ -97,7 +98,8 @@ class QueryResult:
     ``results`` contains the statistically significant relationships of all
     evaluated data set pairs; the counters aggregate the per-pair reports.
     ``job_stats`` carries the per-task timings of the map-reduce execution
-    (one map task per function pair) for the scalability experiments.
+    (one map task per chunk of candidates — significance tests only; the
+    scoring happens on the driver) for the scalability experiments.
     """
 
     results: list[RelationshipResult] = field(default_factory=list)
@@ -196,57 +198,47 @@ class IndexPartitionJob(MapReduceJob):
 
 
 class RelationshipPairJob(MapReduceJob):
-    """One map task per function pair; one reducer per data set pair.
+    """One map task per chunk of candidates; one reducer per data set pair.
 
-    Map input: ``((pair_seq, name1, name2), (payload, base_seed))`` where
-    ``payload`` is one :class:`~repro.core.operator.PairTask` (exact mode)
-    or a list of them (batched/adaptive modes, which amortize the stacked
-    significance passes across the chunk).  The mapper runs the feature
-    comparison and (when the clause admits it) the restricted Monte Carlo
-    significance test; the reducer sorts outcomes back into serial order
-    and assembles the pair's :class:`RelationReport`.
+    Map input: ``((pair_seq, name1, name2), tasks)`` where ``tasks`` is a
+    chunk of one data set pair's :class:`~repro.core.operator.PairTask`
+    candidates.  The mapper runs their restricted Monte Carlo significance
+    tests and nothing else; the reducer sorts the chunks' survivors back
+    into serial order and yields the pair's significant relationships.
     """
 
     def __init__(
         self,
-        clause: Clause,
+        alpha: float,
         n_permutations: int,
         alternative: str,
-        extractor: FeatureExtractor | None,
         significance_mode: str = "exact",
     ) -> None:
-        self.clause = clause
+        self.alpha = alpha
         self.n_permutations = n_permutations
         self.alternative = alternative
-        self.extractor = extractor
         self.significance_mode = significance_mode
 
     def map(self, key: Any, value: Any):
         _pair_seq, name1, name2 = key
-        payload, base_seed = value
-        tasks = [payload] if isinstance(payload, PairTask) else list(payload)
-        for outcome in evaluate_pair_chunk(
-            tasks,
-            name1,
-            name2,
-            self.clause,
-            self.n_permutations,
-            self.alternative,
-            base_seed,
-            self.extractor,
-            self.significance_mode,
-        ):
-            yield key, outcome
+        # One (possibly empty) emission per chunk, so every data set pair
+        # with a candidate reaches its reducer.
+        yield (
+            key,
+            evaluate_pair_chunk(
+                value,
+                name1,
+                name2,
+                self.alpha,
+                self.n_permutations,
+                self.alternative,
+                self.significance_mode,
+            ),
+        )
 
     def reduce(self, key: Any, values: list[Any]):
-        _pair_seq, name1, name2 = key
-        report = RelationReport(dataset1=name1, dataset2=name2)
-        for outcome in sorted(values, key=lambda o: o.seq):
-            report.n_evaluated += outcome.n_evaluated
-            report.n_candidates += outcome.n_candidates
-            report.results.extend(outcome.results)
-        report.n_significant = len(report.results)
-        yield key, report
+        outcomes = sorted((o for chunk in values for o in chunk), key=lambda o: o.seq)
+        yield key, [outcome.result for outcome in outcomes]
 
 
 def _resolve_engine(
@@ -502,20 +494,22 @@ class CorpusIndex:
         defaults to the full corpus (the paper's ``D2 = ∅`` convention).
         Every unordered pair (Di, Dj) with Di ≠ Dj is evaluated once.
 
+        The driver scores every function pair of the requested data set
+        pairs off count tables and keeps the candidates (see
+        :func:`~repro.core.operator.enumerate_pair_tasks`);
         ``n_workers``/``executor`` (or an explicit ``engine``) fan the
-        function-pair evaluations out through the map-reduce engine; per-pair
-        RNGs are spawned via ``SeedSequence`` from deterministic pair seeds,
-        so ``executor="thread"`` or ``"process"`` with ``n_workers=4``
-        returns results bit-identical to the serial default under the same
-        ``seed``.
+        candidates' significance tests out through the map-reduce engine in
+        chunks of :data:`~repro.core.operator.SIGNIFICANCE_CHUNK_TASKS`.
+        Every candidate carries its own integer seed, so ``executor="thread"``
+        or ``"process"`` with ``n_workers=4`` returns results bit-identical
+        to the serial default under the same ``seed``.
 
         ``significance_mode`` selects the permutation-test evaluation mode
-        (see :mod:`repro.core.significance`): ``"exact"`` keeps one map task
-        per function pair; ``"batched"`` and ``"adaptive"`` group tasks into
-        chunks of :data:`~repro.core.operator.SIGNIFICANCE_CHUNK_TASKS` so
-        whole chunks share stacked NumPy significance passes.  Batched
-        results are bit-identical to exact's, adaptive ones are
-        decision-identical at the clause's α — under every executor.
+        (see :mod:`repro.core.significance`): ``"exact"`` tests a chunk's
+        candidates one by one, ``"batched"`` and ``"adaptive"`` in stacked
+        NumPy passes.  Batched results are bit-identical to exact's,
+        adaptive ones are decision-identical at the clause's α — under every
+        executor.
         """
         if clause is None:
             clause = Clause()
@@ -529,17 +523,11 @@ class CorpusIndex:
 
         # Pairs are canonicalized alphabetically so per-pair RNG seeds (and
         # hence p-values) do not depend on the order data sets were listed.
-        pairs: list[tuple[str, str]] = []
-        seen: set[tuple[str, str]] = set()
-        for a in d1:
-            for b in d2:
-                if a == b:
-                    continue
-                key = (a, b) if a <= b else (b, a)
-                if key in seen:
-                    continue
-                seen.add(key)
-                pairs.append(key)
+        pairs = list(
+            dict.fromkeys(
+                (a, b) if a <= b else (b, a) for a in d1 for b in d2 if a != b
+            )
+        )
 
         run_engine = _resolve_engine(engine, n_workers, executor)
         result = QueryResult(significance_mode=significance_mode)
@@ -548,39 +536,32 @@ class CorpusIndex:
         with obs.span(
             "index.query", n_pairs=len(pairs), mode=significance_mode
         ) as query_span:
-            inputs: list[tuple[Any, Any]] = []
-            for pair_seq, (a, b) in enumerate(pairs):
-                # Mirrors relation(): a fresh draw per pair, so an int seed
-                # gives every pair the same base and a Generator advances in
-                # pair order.
-                base_seed = int(ensure_rng(seed).integers(2**62))
-                tasks = enumerate_pair_tasks(
-                    self.datasets[a], self.datasets[b], clause
-                )
-                if significance_mode == "exact":
-                    for task in tasks:
-                        inputs.append(((pair_seq, a, b), (task, base_seed)))
-                else:
-                    # Chunked map tasks: the batched/adaptive modes win by
-                    # amortizing stacked NumPy passes across a whole chunk.
-                    for lo in range(0, len(tasks), SIGNIFICANCE_CHUNK_TASKS):
-                        chunk = tasks[lo : lo + SIGNIFICANCE_CHUNK_TASKS]
-                        inputs.append(((pair_seq, a, b), (chunk, base_seed)))
-
             extractor = self.extractor
             if extractor is None and self.corpus is not None:
                 extractor = self.corpus.extractor
+            # d1 is the count tables' compact side: a query for one data set
+            # scores that data set against the corpus, no more.
+            plans = enumerate_pair_tasks(
+                self.datasets, pairs, set(d1), clause, seed, extractor
+            )
+            inputs = [
+                (
+                    (pair_seq, report.dataset1, report.dataset2),
+                    tasks[lo : lo + SIGNIFICANCE_CHUNK_TASKS],
+                )
+                for pair_seq, (report, tasks) in enumerate(plans)
+                for lo in range(0, len(tasks), SIGNIFICANCE_CHUNK_TASKS)
+            ]
             job = RelationshipPairJob(
-                clause, n_permutations, alternative, extractor, significance_mode
+                clause.alpha, n_permutations, alternative, significance_mode
             )
             outputs, job_stats = run_engine.run(job, inputs)
             result.job_stats = job_stats
 
-            by_pair = {key[0]: report for key, report in outputs}
-            for pair_seq, (a, b) in enumerate(pairs):
-                report = by_pair.get(pair_seq)
-                if report is None:  # no common resolutions -> empty report
-                    report = RelationReport(dataset1=a, dataset2=b)
+            for key, results in outputs:
+                plans[key[0]][0].results = results
+            for report, _tasks in plans:
+                report.n_significant = len(report.results)
                 result.reports.append(report)
                 result.results.extend(report.results)
                 result.n_evaluated += report.n_evaluated
@@ -593,6 +574,9 @@ class CorpusIndex:
             )
         obs.histogram("repro.query.seconds").observe(result.elapsed_seconds)
         obs.counter("repro.query.count").inc()
+        obs.counter("repro.query.evaluated").inc(result.n_evaluated)
+        obs.counter("repro.query.candidates").inc(result.n_candidates)
+        obs.counter("repro.query.significant").inc(result.n_significant)
         return result
 
     def save(

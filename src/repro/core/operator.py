@@ -4,15 +4,42 @@ Given two indexed data sets, the operator evaluates every pair of their
 scalar functions at every common spatio-temporal resolution (finest first),
 for both the salient and the extreme feature channels, and returns the
 statistically significant relationships with their score and strength.
+
+Score by table, test only candidates.  The paper's operator compares the
+feature bit vectors of *every* function pair and runs the §4 permutation
+test on the feature-related ones only (Fig. 11's funnel).  Here the two
+halves are two stages:
+
+1. :func:`enumerate_pair_tasks` *scores*.  Per admitted resolution and
+   feature channel it reads every (row function, column function) pair's
+   set cardinalities off a few exact-integer matrix products of the stacked
+   feature masks (:func:`repro.core.relationship.count_table`; that module
+   carries the counting argument).  The tables are rectangular — a query
+   for one data set pays for that data set's functions against its
+   partners' only — and transient: one resolution at a time, gone before
+   the engine runs.  ``n_evaluated`` is arithmetic (function pairs whose
+   step ranges overlap × feature channels); the two thirds of the
+   evaluations that are not feature-related are never enumerated.  Cost:
+   O(F₁·F₂·T·R) inside BLAS plus O(candidates) interpreted.
+2. :func:`evaluate_pair_chunk` *tests*.  A map task receives candidates
+   only (:class:`PairTask`: resolved feature sets, measures, seed), aligns
+   each function once per overlap within its chunk and runs the
+   significance tests; nothing else.
+
+There is one scoring path — no per-pair loop, no size cutoff choosing
+between table and loop.  ``score_from_masks`` stays as the per-pair
+reference that ``significance_test`` and the tests use.
 """
 
 from __future__ import annotations
 
 import zlib
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import obs
 from ..graph.domain_graph import DomainGraph
 from ..spatial.resolution import SpatialResolution
 from ..temporal.resolution import TemporalResolution
@@ -20,7 +47,16 @@ from ..utils.errors import DataError
 from ..utils.rng import RngLike, ensure_rng
 from .clause import Clause
 from .features import FeatureExtractor, FeatureSet, FunctionFeatures
-from .relationship import evaluate_features
+
+# ``evaluate_features`` is no longer called here (the table scores); it stays
+# an attribute of this module because the perf ledger's probe patches it in
+# by name.
+from .relationship import (
+    RelationshipMeasures,
+    count_table,
+    evaluate_features,  # noqa: F401
+    measures_from_counts,
+)
 from .scalar_function import ScalarFunction
 from .significance import (
     SIGNIFICANCE_MODES,
@@ -29,9 +65,12 @@ from .significance import (
     significance_test,
 )
 
-#: Pair tasks batched per :func:`evaluate_pair_chunk` call.  Large enough to
-#: amortize the stacked NumPy passes, small enough to keep map tasks granular.
-SIGNIFICANCE_CHUNK_TASKS = 64
+#: Candidates per :func:`evaluate_pair_chunk` call, i.e. per map task.  Large
+#: enough to amortize the stacked NumPy passes, small enough to keep map
+#: tasks granular and their stacked masks small.  (It counted function pairs
+#: when map tasks still scored: 64 of those held 38 candidates on average,
+#: 128 at most; 32 candidates keep a batch's transient memory at that mean.)
+SIGNIFICANCE_CHUNK_TASKS = 32
 
 
 @dataclass
@@ -68,7 +107,7 @@ class DatasetIndex:
         self,
     ) -> list[tuple[SpatialResolution, TemporalResolution]]:
         """Materialized resolution pairs, finest first (spatial, temporal)."""
-        return sorted(self.functions, key=lambda k: (k[0].rank, k[1].rank))
+        return sorted(self.functions, key=_fineness)
 
     @property
     def n_functions(self) -> int:
@@ -76,6 +115,10 @@ class DatasetIndex:
         if not self.functions:
             return 0
         return max(len(v) for v in self.functions.values())
+
+
+def _fineness(key: tuple[SpatialResolution, TemporalResolution]) -> tuple[int, int]:
+    return key[0].rank, key[1].rank
 
 
 @dataclass(frozen=True)
@@ -123,257 +166,265 @@ class RelationReport:
     n_candidates: int = 0
     n_significant: int = 0
 
-    def extend(self, other: "RelationReport") -> None:
-        """Merge counters/results of another report (used by queries)."""
-        self.results.extend(other.results)
-        self.n_evaluated += other.n_evaluated
-        self.n_candidates += other.n_candidates
-        self.n_significant += other.n_significant
-
 
 def _pair_seed(base: int, *tokens: str) -> int:
-    """Deterministic per-pair RNG seed, independent of iteration order."""
+    """Deterministic per-pair RNG seed, independent of iteration order.
+
+    Every (function pair, resolution, feature type) combination gets its own
+    seed — never a generator shared across tasks — so candidates can be
+    tested on any worker in any order and still produce bit-identical
+    p-values.  The seed stays an integer until a test draws from its stream
+    (``default_rng(seed)`` is ``default_rng(SeedSequence(seed))``, the same
+    stream); the batched toroidal tests never do.
+    """
     digest = zlib.crc32("|".join(tokens).encode())
     return (base * 1_000_003 + digest) % (2**63 - 1)
 
 
-def _pair_rng(base: int, *tokens: str) -> np.random.Generator:
-    """A fresh per-function-pair generator spawned via ``SeedSequence``.
-
-    Every (function pair, resolution, feature type) combination gets its own
-    independent stream derived from the deterministic pair seed — never a
-    generator shared across tasks — so evaluations can run on any worker in
-    any order and still produce bit-identical p-values.
-    """
-    return np.random.default_rng(np.random.SeedSequence(_pair_seed(base, *tokens)))
-
-
 def _overlap_slices(
-    f1: ScalarFunction, f2: ScalarFunction
+    labels1: np.ndarray, labels2: np.ndarray
 ) -> tuple[slice, slice] | None:
-    """Aligned time-slices of the two functions' overlapping step labels."""
-    l1 = f1.graph.step_labels
-    l2 = f2.graph.step_labels
-    first = max(int(l1[0]), int(l2[0]))
-    last = min(int(l1[-1]), int(l2[-1]))
+    """Aligned time-slices of two consecutive step-label ranges' overlap."""
+    first = max(int(labels1[0]), int(labels2[0]))
+    last = min(int(labels1[-1]), int(labels2[-1]))
     if last < first:
         return None
-    s1 = slice(first - int(l1[0]), last - int(l1[0]) + 1)
-    s2 = slice(first - int(l2[0]), last - int(l2[0]) + 1)
+    s1 = slice(first - int(labels1[0]), last - int(labels1[0]) + 1)
+    s2 = slice(first - int(labels2[0]), last - int(labels2[0]) + 1)
     return s1, s2
 
 
 @dataclass(frozen=True)
-class PairTask:
-    """One schedulable unit of a relationship query: a function pair.
+class ResolvedFeatures:
+    """One function's feature channel as a query scores and tests it: the
+    precomputed one, or the one recomputed from clause-pinned thresholds
+    (§5.3).  Resolved once per query and shared by all of its candidates."""
 
-    ``seq`` is the position of the task in the canonical serial evaluation
-    order (common resolutions finest-first, then ``index1``'s functions, then
-    ``index2``'s); reducers sort outcomes by it so parallel execution
+    function_id: str
+    graph: DomainGraph
+    features: FeatureSet
+
+
+@dataclass(frozen=True)
+class PairTask:
+    """One schedulable unit of a relationship query: a *candidate*.
+
+    A (function pair, resolution, feature type) combination that is
+    feature-related and passed the clause, so that only its significance
+    test is left to run.  ``seq`` is its position among the data set pair's
+    candidates in the canonical serial order (common resolutions
+    finest-first, then the first data set's functions, then the second's,
+    then the feature types); reducers sort by it so parallel execution
     reassembles reports in exactly the serial order.
     """
 
     seq: int
-    fn1: IndexedFunction
-    fn2: IndexedFunction
+    fn1: ResolvedFeatures
+    fn2: ResolvedFeatures
     spatial: SpatialResolution
     temporal: TemporalResolution
+    feature_type: str
+    measures: RelationshipMeasures
+    base_seed: int
+
+    @property
+    def seed(self) -> int:
+        """The candidate's own RNG seed (see :func:`_pair_seed`)."""
+        return _pair_seed(
+            self.base_seed,
+            self.fn1.function_id,
+            self.fn2.function_id,
+            self.spatial.value,
+            self.temporal.value,
+            self.feature_type,
+        )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairOutcome:
-    """What evaluating one :class:`PairTask` contributed to the report."""
+    """A candidate that survived its significance test."""
 
     seq: int
-    n_evaluated: int = 0
-    n_candidates: int = 0
-    results: list[RelationshipResult] = field(default_factory=list)
+    result: RelationshipResult
 
 
 def enumerate_pair_tasks(
-    index1: DatasetIndex, index2: DatasetIndex, clause: Clause
-) -> list[PairTask]:
-    """All function-pair tasks of ``relation(index1, index2)``, serial order."""
-    tasks: list[PairTask] = []
-    common = [key for key in index1.resolutions() if key in set(index2.resolutions())]
-    for key in common:
-        spatial, temporal = key
-        if not clause.admits_resolution(spatial, temporal):
-            continue
-        for fn1 in index1.functions[key]:
-            for fn2 in index2.functions[key]:
-                tasks.append(PairTask(len(tasks), fn1, fn2, spatial, temporal))
-    return tasks
-
-
-def evaluate_pair_task(
-    task: PairTask,
-    dataset1: str,
-    dataset2: str,
+    datasets: Mapping[str, DatasetIndex],
+    pairs: Sequence[tuple[str, str]],
+    rows: Collection[str],
     clause: Clause,
-    n_permutations: int,
-    alternative: str,
-    base_seed: int,
+    seed: RngLike,
     extractor: FeatureExtractor | None,
-) -> PairOutcome:
-    """Evaluate one function pair: feature comparison + significance test.
+) -> list[tuple[RelationReport, list[PairTask]]]:
+    """Score the data set ``pairs``; return each one's report and candidates.
 
-    Self-contained and side-effect free so it can run as a map task on any
-    worker: the RNG is spawned per pair from ``base_seed`` (see
-    :func:`_pair_rng`), never shared.
+    One entry per ``(dataset1, dataset2)`` pair, in order: the pair's
+    :class:`RelationReport` with ``n_evaluated`` and ``n_candidates`` filled
+    in, and its candidates in canonical order.  A pair without a common
+    resolution, overlapping step ranges or a candidate still gets its report.
+
+    ``rows`` names the data sets a query is *for*.  Pairs led by one of them
+    share one table and the remaining pairs another, so that a table's rows
+    (the pairs' ``dataset1``) or its columns (their ``dataset2``) are those
+    data sets' functions and a query for one data set pays for that data
+    set's functions against its partners', not for the partners against each
+    other.  Clause-pinned thresholds are resolved here, once per function,
+    never in the map tasks.  ``seed`` gives every pair its base seed: a fresh
+    draw per pair, so an int seeds every pair alike and a ``Generator``
+    advances in pair order.
+
+    Functions stacked into one table must agree in region count
+    (:class:`DataError` otherwise) whether or not they are paired: an index
+    is over one city, which has one region set per spatial resolution.
     """
-    fn1, fn2, spatial, temporal = task.fn1, task.fn2, task.spatial, task.temporal
-    outcome = PairOutcome(seq=task.seq)
-    slices = _overlap_slices(fn1.function, fn2.function)
-    if slices is None:
-        return outcome
-    s1, s2 = slices
-    graph = fn1.function.graph.slice_steps(s1)
-    for feature_type in clause.feature_types:
-        outcome.n_evaluated += 1
-        fs1 = _resolve_features(fn1, feature_type, clause, extractor)
-        fs2 = _resolve_features(fn2, feature_type, clause, extractor)
-        fs1 = fs1.slice_steps(s1.start, s1.stop)
-        fs2 = fs2.slice_steps(s2.start, s2.stop)
-        measures = evaluate_features(fs1, fs2)
-        if not measures.is_related or not clause.admits_measures(measures):
-            continue
-        outcome.n_candidates += 1
-        sig = significance_test(
-            fs1,
-            fs2,
-            graph,
-            n_permutations=n_permutations,
-            alternative=alternative,
-            seed=_pair_rng(
-                base_seed,
-                fn1.function_id,
-                fn2.function_id,
-                spatial.value,
-                temporal.value,
-                feature_type,
-            ),
-        )
-        if not sig.is_significant(clause.alpha):
-            continue
-        outcome.results.append(
-            RelationshipResult(
-                dataset1=dataset1,
-                dataset2=dataset2,
-                function1=fn1.function_id,
-                function2=fn2.function_id,
-                spatial=spatial,
-                temporal=temporal,
-                feature_type=feature_type,
-                score=measures.score,
-                strength=measures.strength,
-                p_value=sig.p_value,
-                n_related=measures.n_related,
-                precision=measures.precision,
-                recall=measures.recall,
+    resolved: dict[tuple[int, str | None], ResolvedFeatures] = {}
+
+    def resolve(fn: IndexedFunction, feature_type: str) -> ResolvedFeatures:
+        custom = clause.thresholds.get(fn.function_id)
+        # Pinned thresholds ignore the channel: one extraction serves both.
+        key = (id(fn), feature_type if custom is None else None)
+        if key not in resolved:
+            if custom is None:
+                features = fn.feature_set(feature_type)
+            else:
+                features = (extractor or FeatureExtractor()).extract_with_thresholds(
+                    fn.function, *custom
+                )
+            resolved[key] = ResolvedFeatures(
+                fn.function_id, fn.function.graph, features
             )
-        )
-    return outcome
+        return resolved[key]
+
+    def stack(names: list[str], key: tuple) -> tuple[list, dict[str, slice]]:
+        """The named data sets' functions at ``key``, concatenated and
+        resolved per feature type, and where each data set's run sits."""
+        fns: list[IndexedFunction] = []
+        where: dict[str, slice] = {}
+        for name in dict.fromkeys(names):
+            own = datasets[name].functions[key]
+            where[name] = slice(len(fns), len(fns) + len(own))
+            fns += own
+        return [[resolve(fn, ft) for fn in fns] for ft in clause.feature_types], where
+
+    plans = [(RelationReport(dataset1=a, dataset2=b), []) for a, b in pairs]
+    base_seeds = [int(ensure_rng(seed).integers(2**62)) for _ in pairs]
+    n_channels = len(clause.feature_types)
+    resolutions = sorted(
+        {
+            key
+            for pair in pairs
+            for name in pair
+            for key in datasets[name].functions
+            if n_channels and clause.admits_resolution(*key)
+        },
+        key=_fineness,
+    )
+    with obs.span("query.score", n_resolutions=len(resolutions)) as score_span:
+        n_functions = 0
+        for key in resolutions:
+            active = [
+                (n, a, b)
+                for n, (a, b) in enumerate(pairs)
+                if key in datasets[a].functions and key in datasets[b].functions
+            ]
+            # One table for the pairs a ``rows`` data set leads, one for the
+            # rest: either way those data sets are a side of their own.
+            led = [pair for pair in active if pair[1] in rows]
+            rest = [pair for pair in active if pair[1] not in rows]
+            for group in filter(None, (led, rest)):
+                fns1, at1 = stack([a for _, a, _ in group], key)
+                fns2, at2 = stack([b for _, _, b in group], key)
+                n_functions += len(fns1[0]) + len(fns2[0])
+                counts = np.stack(
+                    [
+                        count_table(
+                            [(int(f.graph.step_labels[0]), f.features) for f in one],
+                            [(int(f.graph.step_labels[0]), f.features) for f in two],
+                        )
+                        for one, two in zip(fns1, fns2)
+                    ]
+                )
+                for n, a, b in group:
+                    report, tasks = plans[n]
+                    block = counts[:, :, at1[a], at2[b]]
+                    n_overlapping = int(np.count_nonzero(block[0, 5]))
+                    report.n_evaluated += n_channels * n_overlapping
+                    # Channel-last, so argwhere walks (fn1, fn2, feature type).
+                    related = np.argwhere(block[:, 0].transpose(1, 2, 0))
+                    for i, j, k in related.tolist():
+                        measures = measures_from_counts(*block[k, :5, i, j].tolist())
+                        if clause.admits_measures(measures):
+                            tasks.append(
+                                PairTask(
+                                    len(tasks),
+                                    fns1[k][at1[a].start + i],
+                                    fns2[k][at2[b].start + j],
+                                    *key,
+                                    clause.feature_types[k],
+                                    measures,
+                                    base_seeds[n],
+                                )
+                            )
+                    report.n_candidates = len(tasks)
+        score_span.set(n_functions=n_functions)
+    return plans
 
 
 def evaluate_pair_chunk(
-    tasks: list[PairTask],
+    tasks: Sequence[PairTask],
     dataset1: str,
     dataset2: str,
-    clause: Clause,
+    alpha: float,
     n_permutations: int,
     alternative: str,
-    base_seed: int,
-    extractor: FeatureExtractor | None,
     significance_mode: str = "exact",
 ) -> list[PairOutcome]:
-    """Evaluate a chunk of pair tasks with batched significance testing.
+    """Test a chunk of candidates; return the significant ones, in order.
 
-    The chunk is where the fast modes pay off: candidate pairs across all
-    tasks are queued into one :func:`significance_batch` call (stacked FFT /
-    co-occurrence passes instead of per-pair Python loops), and domain
-    graphs are built once per (graph, overlap) instead of once per task.
-    ``significance_mode="exact"`` simply delegates to
-    :func:`evaluate_pair_task` per task, so the reference path stays
-    untouched.  Outcomes are returned in task order, one per task, and are
-    identical (batched) or decision-identical (adaptive) to exact mode's.
+    The body of one map task, for all three modes: align each function once
+    per overlap within the chunk, then ``"exact"`` runs the per-pair
+    reference :func:`significance_test` on every candidate, while
+    ``"batched"`` and ``"adaptive"`` queue them into one
+    :func:`significance_batch` call (stacked FFT / co-occurrence passes
+    instead of per-pair Python loops).  Outcomes are identical (batched) or
+    decision-identical (adaptive) to exact mode's.
     """
-    if significance_mode == "exact":
-        return [
-            evaluate_pair_task(
-                task,
-                dataset1,
-                dataset2,
-                clause,
-                n_permutations,
-                alternative,
-                base_seed,
-                extractor,
-            )
-            for task in tasks
-        ]
+    aligned: dict[tuple, FeatureSet] = {}
 
-    graphs: dict[tuple[int, int, int, int], DomainGraph] = {}
-    outcomes: list[PairOutcome] = []
-    requests: list[SignificanceRequest] = []
-    holders: list[tuple[PairOutcome, PairTask, str, object]] = []
+    def align(fn: ResolvedFeatures, window: slice) -> FeatureSet:
+        key = (id(fn), window.start, window.stop)
+        if key not in aligned:
+            aligned[key] = fn.features.slice_steps(window.start, window.stop)
+        return aligned[key]
+
+    requests = []
     for task in tasks:
-        fn1, fn2 = task.fn1, task.fn2
-        outcome = PairOutcome(seq=task.seq)
-        outcomes.append(outcome)
-        slices = _overlap_slices(fn1.function, fn2.function)
-        if slices is None:
-            continue
-        s1, s2 = slices
-        graph_key = (
-            id(fn1.function.graph.spatial_pairs),
-            id(fn1.function.graph.step_labels),
-            s1.start,
-            s1.stop,
-        )
-        graph = graphs.get(graph_key)
-        if graph is None:
-            graph = fn1.function.graph.slice_steps(s1)
-            graphs[graph_key] = graph
-        for feature_type in clause.feature_types:
-            outcome.n_evaluated += 1
-            fs1 = _resolve_features(fn1, feature_type, clause, extractor)
-            fs2 = _resolve_features(fn2, feature_type, clause, extractor)
-            fs1 = fs1.slice_steps(s1.start, s1.stop)
-            fs2 = fs2.slice_steps(s2.start, s2.stop)
-            measures = evaluate_features(fs1, fs2)
-            if not measures.is_related or not clause.admits_measures(measures):
-                continue
-            outcome.n_candidates += 1
-            requests.append(
-                SignificanceRequest(
-                    fs1,
-                    fs2,
-                    graph,
-                    seed=_pair_rng(
-                        base_seed,
-                        fn1.function_id,
-                        fn2.function_id,
-                        task.spatial.value,
-                        task.temporal.value,
-                        feature_type,
-                    ),
-                    observed=measures.score,
-                )
+        # A candidate is feature-related, so its step ranges do overlap.  The
+        # tests read the graph's regions only: it needs no alignment.
+        s1, s2 = _overlap_slices(task.fn1.graph.step_labels, task.fn2.graph.step_labels)
+        requests.append(
+            SignificanceRequest(
+                align(task.fn1, s1),
+                align(task.fn2, s2),
+                task.fn1.graph,
+                seed=task.seed,
+                observed=task.measures.score,
             )
-            holders.append((outcome, task, feature_type, measures))
-
-    sigs = significance_batch(
-        requests,
-        n_permutations=n_permutations,
-        alternative=alternative,
-        mode=significance_mode,
-        alpha=clause.alpha,
-    )
-    for (outcome, task, feature_type, measures), sig in zip(holders, sigs):
-        if not sig.is_significant(clause.alpha):
-            continue
-        outcome.results.append(
+        )
+    if significance_mode == "exact":
+        sigs = [
+            significance_test(
+                r.fs1, r.fs2, r.graph, n_permutations, alternative, seed=r.seed
+            )
+            for r in requests
+        ]
+    else:
+        sigs = significance_batch(
+            requests, n_permutations, alternative, significance_mode, alpha
+        )
+    return [
+        PairOutcome(
+            task.seq,
             RelationshipResult(
                 dataset1=dataset1,
                 dataset2=dataset2,
@@ -381,16 +432,18 @@ def evaluate_pair_chunk(
                 function2=task.fn2.function_id,
                 spatial=task.spatial,
                 temporal=task.temporal,
-                feature_type=feature_type,
-                score=measures.score,
-                strength=measures.strength,
+                feature_type=task.feature_type,
+                score=task.measures.score,
+                strength=task.measures.strength,
                 p_value=sig.p_value,
-                n_related=measures.n_related,
-                precision=measures.precision,
-                recall=measures.recall,
-            )
+                n_related=task.measures.n_related,
+                precision=task.measures.precision,
+                recall=task.measures.recall,
+            ),
         )
-    return outcomes
+        for task, sig in zip(tasks, sigs)
+        if sig.is_significant(alpha)
+    ]
 
 
 def relation(
@@ -422,13 +475,12 @@ def relation(
         features for those functions).
     significance_mode:
         ``"exact"`` (default), ``"batched"`` or ``"adaptive"`` — see
-        :mod:`repro.core.significance`.  Batched and adaptive evaluate
-        tasks in chunks of :data:`SIGNIFICANCE_CHUNK_TASKS` through
-        :func:`significance_batch`.
+        :mod:`repro.core.significance`.
 
-    ``relation`` runs the tasks serially; ``CorpusIndex.query`` routes the
-    same :func:`evaluate_pair_task` units through the map-reduce engine, so
-    the two paths produce bit-identical reports.
+    ``relation`` scores with :func:`enumerate_pair_tasks` and tests the
+    candidates serially, :data:`SIGNIFICANCE_CHUNK_TASKS` at a time;
+    ``CorpusIndex.query`` routes the same chunks through the map-reduce
+    engine, so the two paths produce bit-identical reports.
     """
     if clause is None:
         clause = Clause()
@@ -436,41 +488,27 @@ def relation(
         raise DataError("relation() requires two distinct data sets")
     if significance_mode not in SIGNIFICANCE_MODES:
         raise DataError(f"unknown significance mode {significance_mode!r}")
-    rng = ensure_rng(seed)
-    base_seed = int(rng.integers(2**62))
 
-    report = RelationReport(dataset1=index1.dataset, dataset2=index2.dataset)
-    tasks = enumerate_pair_tasks(index1, index2, clause)
+    [(report, tasks)] = enumerate_pair_tasks(
+        {index1.dataset: index1, index2.dataset: index2},
+        [(index1.dataset, index2.dataset)],
+        {index1.dataset},
+        clause,
+        seed,
+        extractor,
+    )
     for lo in range(0, len(tasks), SIGNIFICANCE_CHUNK_TASKS):
-        for outcome in evaluate_pair_chunk(
-            tasks[lo : lo + SIGNIFICANCE_CHUNK_TASKS],
-            report.dataset1,
-            report.dataset2,
-            clause,
-            n_permutations,
-            alternative,
-            base_seed,
-            extractor,
-            significance_mode,
-        ):
-            report.n_evaluated += outcome.n_evaluated
-            report.n_candidates += outcome.n_candidates
-            report.results.extend(outcome.results)
+        report.results.extend(
+            outcome.result
+            for outcome in evaluate_pair_chunk(
+                tasks[lo : lo + SIGNIFICANCE_CHUNK_TASKS],
+                report.dataset1,
+                report.dataset2,
+                clause.alpha,
+                n_permutations,
+                alternative,
+                significance_mode,
+            )
+        )
     report.n_significant = len(report.results)
     return report
-
-
-def _resolve_features(
-    fn: IndexedFunction,
-    feature_type: str,
-    clause: Clause,
-    extractor: FeatureExtractor | None,
-) -> FeatureSet:
-    """Precomputed features, or clause-supplied-threshold features (§5.3)."""
-    custom = clause.thresholds.get(fn.function_id)
-    if custom is None:
-        return fn.feature_set(feature_type)
-    if extractor is None:
-        extractor = FeatureExtractor()
-    theta_pos, theta_neg = custom
-    return extractor.extract_with_thresholds(fn.function, theta_pos, theta_neg)

@@ -2,10 +2,10 @@
 
 Every engine that pickles task payloads — the process executor and the
 cluster backend — faces the same problem: the large NumPy matrices behind a
-task (raw data set columns, scalar-function value matrices) would be
-serialized **per task**, and the same matrix frequently backs many tasks
-(every function pair of a query references its two value matrices; every
-partition of one data set references the full record arrays).
+task (raw data set columns, scalar-function value matrices, feature masks)
+would be serialized **per task**, and the same matrix frequently backs many
+tasks (every candidate of a query references its two functions' feature
+masks; every partition of one data set references the full record arrays).
 
 One mechanism removes that copy for all of them.  An :class:`ArrayPlane`
 registers each distinct large array **once** with its transport and hands

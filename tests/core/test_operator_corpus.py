@@ -1,12 +1,20 @@
 """Tests for the relation() operator, clauses, and corpus indexing/querying."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from _reference_relation import reference_relation
 
 from repro.core.clause import Clause
-from repro.core.corpus import Corpus
-from repro.core.features import FeatureExtractor
-from repro.core.operator import DatasetIndex, IndexedFunction, relation
+from repro.core.corpus import Corpus, CorpusIndex
+from repro.core.features import FeatureExtractor, FeatureSet, FunctionFeatures
+from repro.core.operator import (
+    DatasetIndex,
+    IndexedFunction,
+    enumerate_pair_tasks,
+    relation,
+)
 from repro.core.scalar_function import ScalarFunction
 from repro.data.dataset import Dataset
 from repro.data.schema import DatasetSchema
@@ -248,3 +256,154 @@ class TestCorpus:
         if result.results:
             text = result.results[0].describe()
             assert "tau=" in text and "rho=" in text
+
+
+HOURLY = (SpatialResolution.CITY, TemporalResolution.HOUR)
+DAILY = (SpatialResolution.CITY, TemporalResolution.DAY)
+
+
+def handmade(name, positive, key=HOURLY, n_steps=12, step_offset=0):
+    """A one-function data set whose two channels share one hand-set mask."""
+    sf = ScalarFunction.time_series(
+        f"{name}.v",
+        np.zeros(n_steps),
+        key[1],
+        step_labels=np.arange(step_offset, step_offset + n_steps),
+    )
+    mask = np.zeros((n_steps, 1), dtype=bool)
+    mask[list(positive)] = True
+    fs = FeatureSet(mask, np.zeros_like(mask))
+    features = FunctionFeatures(sf.function_id, fs, fs, None, None)
+    index = DatasetIndex(dataset=name)
+    index.functions[key] = [IndexedFunction(function=sf, features=features)]
+    return index
+
+
+def handmade_corpus(*indexes):
+    city = CityModel.synthetic(nbhd_grid=(3, 3), zip_grid=(2, 2))
+    return CorpusIndex(city=city, datasets={i.dataset: i for i in indexes})
+
+
+class TestScoringStage:
+    """The driver scores by count table and hands the engine candidates
+    only; reports must equal the per-pair reference, field for field."""
+
+    def test_relation_equals_the_per_pair_reference(self):
+        a, b = correlated_series()
+        r1 = make_indexed("da", a, step_offset=0)
+        r2 = make_indexed("db", b[100:], step_offset=100)
+        for one, two in ((r1, r2), (r2, r1)):
+            expected = reference_relation(one, two, n_permutations=150, seed=4)
+            assert expected.n_candidates >= 1
+            for mode in ("exact", "batched"):
+                got = relation(
+                    one, two, n_permutations=150, seed=4, significance_mode=mode
+                )
+                assert got == expected
+
+    def test_query_equals_the_per_pair_reference_at_every_resolution(self):
+        index = build_corpus().build_index()
+        result = index.query(n_permutations=60, seed=5)
+        assert len(result.reports) == 3 and result.n_candidates >= 10
+        for report in result.reports:
+            assert report == reference_relation(
+                index.datasets[report.dataset1],
+                index.datasets[report.dataset2],
+                n_permutations=60,
+                seed=5,
+            )
+
+    def test_no_common_resolution(self):
+        hourly = handmade("da", [1, 2], key=HOURLY)
+        daily = handmade("db", [1, 2], key=DAILY)
+        report = relation(hourly, daily, n_permutations=20)
+        assert (report.n_evaluated, report.n_candidates, report.results) == (0, 0, [])
+        result = handmade_corpus(hourly, daily).query(n_permutations=20)
+        assert [(r.dataset1, r.dataset2) for r in result.reports] == [("da", "db")]
+        assert result.n_evaluated == 0
+
+    def test_no_range_overlap_emits_no_task(self):
+        early = handmade("da", [1, 2])
+        late = handmade("db", [1, 2], step_offset=1000)
+        [(report, tasks)] = enumerate_pair_tasks(
+            {"da": early, "db": late}, [("da", "db")], {"da"}, Clause(), 0, None
+        )
+        assert report.n_evaluated == 0 and tasks == []
+        result = handmade_corpus(early, late).query(n_permutations=20)
+        assert result.n_evaluated == 0
+        assert result.job_stats.map_task_seconds == []
+
+    def test_ranges_of_different_eras_in_one_query(self):
+        # Two data sets per era, the eras a thousand steps apart: pairs
+        # within an era overlap partly, pairs across eras not at all.
+        index = handmade_corpus(
+            handmade("da", [7, 8, 9]),
+            handmade("db", [1, 2, 3], step_offset=6),
+            handmade("dc", [7, 8, 9], step_offset=1000),
+            handmade("dd", [1, 2, 3], step_offset=1006),
+        )
+        result = index.query(n_permutations=20, seed=2)
+        assert [r.n_evaluated for r in result.reports] == [2, 0, 0, 0, 0, 2]
+        assert result.n_candidates == 4
+        for report in result.reports:
+            assert report == reference_relation(
+                index.datasets[report.dataset1],
+                index.datasets[report.dataset2],
+                n_permutations=20,
+                seed=2,
+            )
+
+    def test_pair_without_candidates_keeps_its_report_in_order(self):
+        # da and db never share a feature point; dc overlaps both.
+        index = handmade_corpus(
+            handmade("da", [0, 1]), handmade("db", [6, 7]), handmade("dc", [1, 6])
+        )
+        result = index.query(n_permutations=20, seed=0)
+        assert [(r.dataset1, r.dataset2) for r in result.reports] == [
+            ("da", "db"),
+            ("da", "dc"),
+            ("db", "dc"),
+        ]
+        empty = result.reports[0]
+        assert (empty.n_evaluated, empty.n_candidates, empty.results) == (2, 0, [])
+        assert [r.n_candidates for r in result.reports[1:]] == [2, 2]
+        # One map task per pair that has a candidate, none for the other.
+        assert len(result.job_stats.map_task_seconds) == 2
+
+    def test_single_dataset_query_is_the_all_pairs_query_restricted(self):
+        index = build_corpus().build_index()
+        settings = dict(n_permutations=60, seed=5, significance_mode="batched")
+        everything = index.query(**settings)
+        assert everything.n_significant >= 1
+        for x in index.datasets:
+            # x's functions are the rows of the table of the pairs x leads
+            # and the columns of the table of the pairs that list it second.
+            one = index.query([x], **settings)
+            assert one.reports == [
+                r for r in everything.reports if x in (r.dataset1, r.dataset2)
+            ]
+            for y in index.datasets:
+                assert one.between(x, y) == everything.between(x, y)
+
+    def test_pinned_function_is_extracted_once_per_resolution(self):
+        index = build_corpus().build_index()
+        n_resolutions = len(index.datasets["alpha"].functions)
+        assert n_resolutions == 4
+        clause = Clause(thresholds={"alpha.avg.v": (14.0, 6.0)})
+        real = FeatureExtractor.extract_with_thresholds
+        with mock.patch.object(
+            FeatureExtractor, "extract_with_thresholds", autospec=True, side_effect=real
+        ) as extract:
+            result = index.query(clause=clause, n_permutations=60, seed=5)
+        # Not once per (partner function, feature type): alpha.avg.v meets
+        # 4 partner functions x 2 channels at each of its 4 resolutions.
+        assert extract.call_count == n_resolutions
+        assert result.n_candidates >= 10
+        for report in result.reports:
+            assert report == reference_relation(
+                index.datasets[report.dataset1],
+                index.datasets[report.dataset2],
+                clause=clause,
+                n_permutations=60,
+                seed=5,
+            )

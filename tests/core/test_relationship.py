@@ -1,12 +1,23 @@
 """Tests for relationship score τ and strength ρ (§2.2, §2.3)."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from repro.core import relationship
 from repro.core.features import FeatureSet
-from repro.core.relationship import evaluate_features, score_from_masks
+from repro.core.operator import _overlap_slices
+from repro.core.relationship import (
+    count_table,
+    evaluate_features,
+    measures_from_counts,
+    score_from_masks,
+)
 from repro.utils.errors import DataError
 
 
@@ -126,3 +137,131 @@ def test_score_from_masks_matches_evaluate_features():
     direct = score_from_masks(pos1, neg1, pos2, neg2)
     wrapped = evaluate_features(FeatureSet(pos1, neg1), FeatureSet(pos2, neg2))
     assert direct == wrapped
+
+
+# -- count_table: the query path's all-pairs scoring ------------------------
+
+
+@st.composite
+def table_sides(draw):
+    """``(rows, cols)`` of ``(first step label, FeatureSet)``: 1-6 functions
+    per side over 1-5 shared regions (1 = the time-series case); step ranges
+    of 1-8 steps starting at 0-12, so pairs overlap fully, partly or not at
+    all; masks may be empty, and positive and negative masks are drawn
+    independently, so a point is often both (B != empty)."""
+    n_regions = draw(st.integers(1, 5))
+
+    def function():
+        shape = (draw(st.integers(1, 8)), n_regions)
+        if draw(st.booleans()) and draw(st.booleans()):
+            return draw(st.integers(0, 12)), FeatureSet.empty(*shape)
+        masks = hnp.arrays(np.bool_, shape)
+        return draw(st.integers(0, 12)), FeatureSet(draw(masks), draw(masks))
+
+    def side():
+        return [function() for _ in range(draw(st.integers(1, 6)))]
+
+    return side(), side()
+
+
+@pytest.mark.parametrize(
+    "constants",
+    [{"_FLOAT32_EXACT": 2**24}, {"_FLOAT32_EXACT": 0}, {"_BLOCK_ENTRIES": 1}],
+    ids=["float32", "float64", "one-step blocks"],
+)
+@settings(max_examples=150, deadline=None)
+@given(sides=table_sides())
+def test_count_table_equals_score_from_masks_on_every_overlap(constants, sides):
+    rows, cols = sides
+    with mock.patch.multiple(relationship, **constants):
+        table = count_table(rows, cols)
+    assert table.shape == (6, len(rows), len(cols)) and table.dtype == np.int64
+    for i, (start1, fs1) in enumerate(rows):
+        for j, (start2, fs2) in enumerate(cols):
+            slices = _overlap_slices(
+                np.arange(start1, start1 + fs1.shape[0]),
+                np.arange(start2, start2 + fs2.shape[0]),
+            )
+            if slices is None:  # not evaluated at all
+                assert table[:, i, j].tolist() == [0] * 6
+                continue
+            s1, s2 = slices
+            expected = score_from_masks(
+                fs1.positive[s1], fs1.negative[s1], fs2.positive[s2], fs2.negative[s2]
+            )
+            # All nine measures, exactly: same integers, same float expressions.
+            assert measures_from_counts(*table[:5, i, j].tolist()) == expected
+            assert table[5, i, j] == s1.stop - s1.start
+
+
+def test_count_table_accumulation_dtype_follows_the_exactness_bound():
+    big = FeatureSet(np.ones((2, 3), bool), np.zeros((2, 3), bool))
+    with mock.patch.object(
+        relationship, "_indicators", wraps=relationship._indicators
+    ) as stacked:
+        count_table([(0, big)], [(0, big)])  # 2 steps x 3 regions = 6 points
+        with mock.patch.object(relationship, "_FLOAT32_EXACT", 6):
+            count_table([(0, big)], [(0, big)])
+    dtypes = [call.args[3] for call in stacked.call_args_list]
+    assert dtypes == [np.float32, np.float32, np.float64, np.float64]
+
+
+def test_count_table_cost_follows_the_overlaps_not_the_hull():
+    # Month-long hourly functions over 195 regions.  Ten years between two
+    # data sets must cost nothing, and one data set of another decade must
+    # not inflate an all-pairs table: the stack is bounded by
+    # ``_BLOCK_ENTRIES`` (13 bytes each), whatever the ranges.
+    rng = np.random.default_rng(5)
+
+    def dataset(start, n_functions):
+        masks = rng.random((n_functions, 2, 720, 195)) < 0.05
+        return [(start, FeatureSet(pos, neg)) for pos, neg in masks]
+
+    def traced(rows, cols):
+        tracemalloc.start()
+        try:
+            table = count_table(rows, cols)
+            return table, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    decade = 87_600
+    near, far = dataset(0, 8), dataset(decade, 8)
+    table, peak = traced(near, far)
+    assert not table.any() and peak < 2**20
+
+    shifted = [(360, features) for _, features in far]
+    table, peak = traced(near, shifted)
+    assert (table[5] == 360).all() and peak < 48 * 2**20
+    expected = score_from_masks(
+        near[0][1].positive[360:],
+        near[0][1].negative[360:],
+        shifted[3][1].positive[:360],
+        shifted[3][1].negative[:360],
+    )
+    assert measures_from_counts(*table[:5, 0, 3].tolist()) == expected
+
+    corpus = dataset(0, 24) + far
+    table, peak = traced(corpus, corpus)
+    assert peak < 48 * 2**20
+    assert np.count_nonzero(table[5]) == 24 * 24 + 8 * 8
+    assert (table[0].diagonal() == table[3].diagonal()).all()
+
+
+def test_count_table_degenerate_points_count_once():
+    # One point that is positive AND negative in both functions: it is one
+    # positively and one negatively related point, not two of each.
+    a = fs([0], [0])
+    table = count_table([(0, a)], [(0, a)])
+    assert table[:5, 0, 0].tolist() == [1, 1, 1, 1, 1]
+    assert measures_from_counts(*table[:5, 0, 0].tolist()) == evaluate_features(a, a)
+
+
+def test_count_table_region_mismatch_is_a_data_error():
+    with pytest.raises(DataError):
+        count_table([(0, fs([], [], (5, 1)))], [(0, fs([], [], (5, 2)))])
+
+
+def test_count_table_without_rows_or_columns_is_empty():
+    assert count_table([], [(0, fs([0], []))]).shape == (6, 0, 1)
+    assert count_table([(0, fs([0], []))], []).shape == (6, 1, 0)
