@@ -125,6 +125,29 @@ def check_jsonl_trace(path: Path, command: str) -> None:
     if not any(k.startswith("repro.query.seconds") for k in metrics["histograms"]):
         fail(f"{sidecar.name}: query latency histogram absent")
     logger.info("%s: %d spans + metrics sidecar", path.name, len(lines) - 1)
+    if command == "query":
+        check_significance_batches([json.loads(line) for line in lines[1:]])
+
+
+def check_significance_batches(spans: list[dict]) -> None:
+    """A query tests its candidates in domain chunks: every
+    ``significance.batch`` span says how many function pairs it held and
+    how few distinct functions they shared."""
+    batches = [s for s in spans if s.get("name") == "significance.batch"]
+    if not batches:
+        fail("query trace has no significance.batch span")
+    for span in batches:
+        attrs = span.get("attrs", {})
+        missing = {"n_requests", "n_pairs", "n_functions"} - set(attrs)
+        if missing:
+            fail(f"significance.batch span lacks {sorted(missing)}: {attrs}")
+        if not 0 < attrs["n_functions"] <= 2 * attrs["n_pairs"]:
+            fail(f"significance.batch span counts are inconsistent: {attrs}")
+    logger.info(
+        "query: %d significance batches over %d candidates",
+        len(batches),
+        sum(s["attrs"]["n_requests"] for s in batches),
+    )
 
 
 #: One OpenMetrics sample line: name, optional {label="value",...}, value.

@@ -14,11 +14,11 @@ miniature:
 * :class:`IndexPartitionJob` maps over (data set, resolution) partitions and
   reduces the materialized functions into one :class:`DatasetIndex` per data
   set.
-* :class:`RelationshipPairJob` maps over chunks of *candidates*
+* :class:`RelationshipPairJob` maps over *domain chunks* of candidates
   (:class:`~repro.core.operator.PairTask`: function pairs the driver
-  already scored as feature-related, see :mod:`repro.core.operator`), runs
-  their significance tests and reduces the survivors into one result list
-  per data set pair.
+  already scored as feature-related, regrouped by resolution across data
+  set pairs, see :mod:`repro.core.operator`), runs their significance tests
+  and reduces the survivors into one result list per data set pair.
 
 ``build_index(..., n_workers=4, executor="thread")`` and
 ``query(..., n_workers=4, executor="thread")`` therefore fan work out across
@@ -52,10 +52,11 @@ from ..utils.rng import RngLike
 from .clause import Clause
 from .features import FeatureExtractor
 from .operator import (
-    SIGNIFICANCE_CHUNK_TASKS,
     DatasetIndex,
     IndexedFunction,
+    RelationReport,
     RelationshipResult,
+    domain_chunks,
     enumerate_pair_tasks,
     evaluate_pair_chunk,
 )
@@ -98,8 +99,8 @@ class QueryResult:
     ``results`` contains the statistically significant relationships of all
     evaluated data set pairs; the counters aggregate the per-pair reports.
     ``job_stats`` carries the per-task timings of the map-reduce execution
-    (one map task per chunk of candidates — significance tests only; the
-    scoring happens on the driver) for the scalability experiments.
+    (one map task per domain chunk of candidates — significance tests only;
+    the scoring happens on the driver) for the scalability experiments.
     """
 
     results: list[RelationshipResult] = field(default_factory=list)
@@ -198,13 +199,15 @@ class IndexPartitionJob(MapReduceJob):
 
 
 class RelationshipPairJob(MapReduceJob):
-    """One map task per chunk of candidates; one reducer per data set pair.
+    """One map task per domain chunk; one reducer per data set pair.
 
-    Map input: ``((pair_seq, name1, name2), tasks)`` where ``tasks`` is a
-    chunk of one data set pair's :class:`~repro.core.operator.PairTask`
-    candidates.  The mapper runs their restricted Monte Carlo significance
-    tests and nothing else; the reducer sorts the chunks' survivors back
-    into serial order and yields the pair's significant relationships.
+    Map input: ``((spatial, temporal, n), (tasks, maps))`` — one of
+    :func:`~repro.core.operator.domain_chunks`' chunks: candidates of one
+    resolution from any number of data set pairs, and their region graph's
+    toroidal-shift family.  The mapper runs their restricted Monte Carlo
+    significance tests and nothing else, and emits each data set pair's
+    survivors to that pair's reducer, which sorts them back into serial
+    order and yields the pair's significant relationships.
     """
 
     def __init__(
@@ -220,21 +223,19 @@ class RelationshipPairJob(MapReduceJob):
         self.significance_mode = significance_mode
 
     def map(self, key: Any, value: Any):
-        _pair_seq, name1, name2 = key
-        # One (possibly empty) emission per chunk, so every data set pair
-        # with a candidate reaches its reducer.
-        yield (
-            key,
-            evaluate_pair_chunk(
-                value,
-                name1,
-                name2,
-                self.alpha,
-                self.n_permutations,
-                self.alternative,
-                self.significance_mode,
-            ),
-        )
+        tasks, maps = value
+        by_pair: dict[tuple[str, str], list] = {}
+        for outcome in evaluate_pair_chunk(
+            tasks,
+            self.alpha,
+            self.n_permutations,
+            self.alternative,
+            self.significance_mode,
+            maps,
+        ):
+            pair = (outcome.result.dataset1, outcome.result.dataset2)
+            by_pair.setdefault(pair, []).append(outcome)
+        yield from by_pair.items()
 
     def reduce(self, key: Any, values: list[Any]):
         outcomes = sorted((o for chunk in values for o in chunk), key=lambda o: o.seq)
@@ -499,7 +500,9 @@ class CorpusIndex:
         :func:`~repro.core.operator.enumerate_pair_tasks`);
         ``n_workers``/``executor`` (or an explicit ``engine``) fan the
         candidates' significance tests out through the map-reduce engine in
-        chunks of :data:`~repro.core.operator.SIGNIFICANCE_CHUNK_TASKS`.
+        :func:`~repro.core.operator.domain_chunks`: per (spatial, temporal)
+        resolution, across data set pairs, at most
+        :data:`~repro.core.operator.SIGNIFICANCE_CHUNK_TASKS` each.
         Every candidate carries its own integer seed, so ``executor="thread"``
         or ``"process"`` with ``n_workers=4`` returns results bit-identical
         to the serial default under the same ``seed``.
@@ -544,22 +547,16 @@ class CorpusIndex:
             plans = enumerate_pair_tasks(
                 self.datasets, pairs, set(d1), clause, seed, extractor
             )
-            inputs = [
-                (
-                    (pair_seq, report.dataset1, report.dataset2),
-                    tasks[lo : lo + SIGNIFICANCE_CHUNK_TASKS],
-                )
-                for pair_seq, (report, tasks) in enumerate(plans)
-                for lo in range(0, len(tasks), SIGNIFICANCE_CHUNK_TASKS)
-            ]
+            inputs = domain_chunks(plans, n_permutations, significance_mode)
             job = RelationshipPairJob(
                 clause.alpha, n_permutations, alternative, significance_mode
             )
             outputs, job_stats = run_engine.run(job, inputs)
             result.job_stats = job_stats
 
-            for key, results in outputs:
-                plans[key[0]][0].results = results
+            reports = {(r.dataset1, r.dataset2): r for r, _tasks in plans}
+            for pair, results in outputs:
+                reports[pair].results = results
             for report, _tasks in plans:
                 report.n_significant = len(report.results)
                 result.reports.append(report)

@@ -24,7 +24,12 @@ halves are two stages:
 2. :func:`evaluate_pair_chunk` *tests*.  A map task receives candidates
    only (:class:`PairTask`: resolved feature sets, measures, seed), aligns
    each function once per overlap within its chunk and runs the
-   significance tests; nothing else.
+   significance tests; nothing else.  :func:`domain_chunks` cuts the
+   chunks *by domain, not by data set pair*: §4's randomizations belong to
+   the region graph, so all candidates of one (spatial, temporal)
+   resolution — whichever data set pairs they come from — share one
+   toroidal-shift family and one function meets all of its partners in one
+   batch.  The driver resolves the family and the chunk carries it.
 
 There is one scoring path — no per-pair loop, no size cutoff choosing
 between table and loop.  ``score_from_masks`` stays as the per-pair
@@ -61,16 +66,18 @@ from .scalar_function import ScalarFunction
 from .significance import (
     SIGNIFICANCE_MODES,
     SignificanceRequest,
+    domain_toroidal_maps,
+    region_graph_key,
     significance_batch,
     significance_test,
 )
 
-#: Candidates per :func:`evaluate_pair_chunk` call, i.e. per map task.  Large
-#: enough to amortize the stacked NumPy passes, small enough to keep map
-#: tasks granular and their stacked masks small.  (It counted function pairs
-#: when map tasks still scored: 64 of those held 38 candidates on average,
-#: 128 at most; 32 candidates keep a batch's transient memory at that mean.)
-SIGNIFICANCE_CHUNK_TASKS = 32
+#: Most candidates per :func:`evaluate_pair_chunk` call, i.e. per map task:
+#: the cap of one domain chunk (:func:`domain_chunks`).  Large enough that a
+#: function's conversion to signed masks and the per-span NumPy calls are
+#: shared by many pairs, small enough to keep map tasks granular and a
+#: batch's co-occurrence table (2 · R² entries per candidate) small.
+SIGNIFICANCE_CHUNK_TASKS = 128
 
 
 @dataclass
@@ -211,14 +218,17 @@ class PairTask:
 
     A (function pair, resolution, feature type) combination that is
     feature-related and passed the clause, so that only its significance
-    test is left to run.  ``seq`` is its position among the data set pair's
-    candidates in the canonical serial order (common resolutions
-    finest-first, then the first data set's functions, then the second's,
-    then the feature types); reducers sort by it so parallel execution
-    reassembles reports in exactly the serial order.
+    test is left to run.  ``dataset1``/``dataset2`` name the data set pair
+    it belongs to — a chunk mixes the candidates of many — and ``seq`` is
+    its position among that pair's candidates in the canonical serial order
+    (common resolutions finest-first, then the first data set's functions,
+    then the second's, then the feature types); reducers sort by it so
+    parallel execution reassembles reports in exactly the serial order.
     """
 
     seq: int
+    dataset1: str
+    dataset2: str
     fn1: ResolvedFeatures
     fn2: ResolvedFeatures
     spatial: SpatialResolution
@@ -357,6 +367,8 @@ def enumerate_pair_tasks(
                             tasks.append(
                                 PairTask(
                                     len(tasks),
+                                    a,
+                                    b,
                                     fns1[k][at1[a].start + i],
                                     fns2[k][at2[b].start + j],
                                     *key,
@@ -370,14 +382,56 @@ def enumerate_pair_tasks(
     return plans
 
 
+def domain_chunks(
+    plans: Sequence[tuple[RelationReport, Sequence[PairTask]]],
+    n_permutations: int,
+    significance_mode: str,
+) -> list[tuple[tuple, tuple[list[PairTask], np.ndarray | None]]]:
+    """The testing stage's map inputs: ``(key, (candidates, family))``.
+
+    The candidates of all ``plans`` are regrouped by domain — (spatial,
+    temporal) resolution and region graph, which one index ties together —
+    and each domain is cut into chunks of at most
+    :data:`SIGNIFICANCE_CHUNK_TASKS`.  A spatial domain's chunks carry its
+    toroidal-shift family (``None`` for time series, whose tests rotate, and
+    for the per-pair ``"exact"`` reference, which looks it up itself): the
+    driver owns the family cache, so a map task never builds one, on any
+    executor, and the one array is shipped once per run.
+    """
+    graph_keys: dict[int, tuple[int, bytes]] = {}
+    domains: dict[tuple, list[PairTask]] = {}
+    for _report, tasks in plans:
+        for task in tasks:
+            region_graph = region_graph_key(task.fn1.graph, graph_keys)
+            key = (task.spatial, task.temporal, region_graph)
+            domains.setdefault(key, []).append(task)
+
+    # One array object per region graph and query: the array plane ships an
+    # array once per run by identity, and a count below the cached one is a
+    # fresh slice on every lookup.
+    families: dict[tuple[int, bytes], np.ndarray] = {}
+    chunks: list = []
+    for (spatial, temporal, region_graph), tasks in domains.items():
+        maps = None
+        if significance_mode != "exact" and region_graph[0] >= 2:
+            maps = families.get(region_graph)
+            if maps is None:
+                maps = families[region_graph] = domain_toroidal_maps(
+                    tasks[0].fn1.graph, n_permutations
+                )
+        for lo in range(0, len(tasks), SIGNIFICANCE_CHUNK_TASKS):
+            key = (spatial.value, temporal.value, len(chunks))
+            chunks.append((key, (tasks[lo : lo + SIGNIFICANCE_CHUNK_TASKS], maps)))
+    return chunks
+
+
 def evaluate_pair_chunk(
     tasks: Sequence[PairTask],
-    dataset1: str,
-    dataset2: str,
     alpha: float,
     n_permutations: int,
     alternative: str,
     significance_mode: str = "exact",
+    maps: np.ndarray | None = None,
 ) -> list[PairOutcome]:
     """Test a chunk of candidates; return the significant ones, in order.
 
@@ -385,9 +439,10 @@ def evaluate_pair_chunk(
     per overlap within the chunk, then ``"exact"`` runs the per-pair
     reference :func:`significance_test` on every candidate, while
     ``"batched"`` and ``"adaptive"`` queue them into one
-    :func:`significance_batch` call (stacked FFT / co-occurrence passes
-    instead of per-pair Python loops).  Outcomes are identical (batched) or
-    decision-identical (adaptive) to exact mode's.
+    :func:`significance_batch` call (per-function FFT / signed-mask passes
+    instead of per-pair Python loops), handing over ``maps`` — the chunk's
+    toroidal-shift family, see :func:`domain_chunks`.  Outcomes are
+    identical (batched) or decision-identical (adaptive) to exact mode's.
     """
     aligned: dict[tuple, FeatureSet] = {}
 
@@ -409,6 +464,7 @@ def evaluate_pair_chunk(
                 task.fn1.graph,
                 seed=task.seed,
                 observed=task.measures.score,
+                maps=maps,
             )
         )
     if significance_mode == "exact":
@@ -426,8 +482,8 @@ def evaluate_pair_chunk(
         PairOutcome(
             task.seq,
             RelationshipResult(
-                dataset1=dataset1,
-                dataset2=dataset2,
+                dataset1=task.dataset1,
+                dataset2=task.dataset2,
                 function1=task.fn1.function_id,
                 function2=task.fn2.function_id,
                 spatial=task.spatial,
@@ -478,9 +534,9 @@ def relation(
         :mod:`repro.core.significance`.
 
     ``relation`` scores with :func:`enumerate_pair_tasks` and tests the
-    candidates serially, :data:`SIGNIFICANCE_CHUNK_TASKS` at a time;
-    ``CorpusIndex.query`` routes the same chunks through the map-reduce
-    engine, so the two paths produce bit-identical reports.
+    candidates' :func:`domain_chunks` serially; ``CorpusIndex.query`` routes
+    the same chunks through the map-reduce engine, so the two paths produce
+    bit-identical reports.
     """
     if clause is None:
         clause = Clause()
@@ -497,18 +553,15 @@ def relation(
         seed,
         extractor,
     )
-    for lo in range(0, len(tasks), SIGNIFICANCE_CHUNK_TASKS):
-        report.results.extend(
-            outcome.result
-            for outcome in evaluate_pair_chunk(
-                tasks[lo : lo + SIGNIFICANCE_CHUNK_TASKS],
-                report.dataset1,
-                report.dataset2,
-                clause.alpha,
-                n_permutations,
-                alternative,
-                significance_mode,
-            )
+    outcomes = [
+        outcome
+        for _key, (chunk, maps) in domain_chunks(
+            [(report, tasks)], n_permutations, significance_mode
         )
+        for outcome in evaluate_pair_chunk(
+            chunk, clause.alpha, n_permutations, alternative, significance_mode, maps
+        )
+    ]
+    report.results = [o.result for o in sorted(outcomes, key=lambda o: o.seq)]
     report.n_significant = len(report.results)
     return report

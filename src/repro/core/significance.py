@@ -23,6 +23,19 @@ reduce to gathers over precomputed region-by-region co-occurrence matrices
 (``C[r, s] = Σ_t mask1[t, r] · mask2[t, s]``), so each of the |m| = 1,000
 shifts costs only O(n_regions).
 
+Signed kernels.  The statistic of a randomization is
+``(pp + nn − pn − np) / uu`` over the five co-occurrence counts of the
+positive, negative and union masks.  The per-pair reference computes the
+five; the batched kernels compute two.  With ``D = P − N`` (entries −1, 0,
+1) and ``U = P ∨ N`` per function, ``Σ D₁·D₂ = pp + nn − pn − np`` term by
+term — an identity of the integers, so it also holds where a point is both
+a positive and a negative feature (D = 0, U = 1) — and ``Σ U₁·U₂ = uu``.
+``D`` and ``U`` are made once per distinct feature set of a group, not per
+pair.  Every entry and every partial sum is an integer of magnitude at most
+``n_steps · n_regions``, so float32 holds them exactly while that product
+is below 2²⁴ (float64 beyond); the sums are widened to float64 before the
+one division, which therefore sees the operands the reference sees.
+
 The permutation statistic counts #p as ``|Σ⁺₁∩Σ⁺₂| + |Σ⁻₁∩Σ⁻₂|``; this equals
 Definition 10's union count whenever a function's positive and negative
 features are disjoint (always true when θ⁻ < θ⁺, i.e. for every non-degenerate
@@ -36,10 +49,11 @@ while pinning down exactly what they preserve:
   loop.  Bit-identical across releases and executors; everything else is
   validated against it.
 * ``"batched"`` — :func:`significance_batch` vectorizes the permutation
-  test across a whole chunk of pairs at once (stacked rotation FFTs,
-  batched co-occurrence matmuls + one gather for toroidal shifts).  All
-  null counts are exact integers in float64, so batched p-values are
-  **bit-identical** to exact mode.
+  test across a whole chunk of pairs at once (one FFT per distinct mask and
+  two spectrum products per pair for rotations; two co-occurrence products
+  per pair and one gather per span for toroidal shifts).  All null counts
+  are exact integers, so batched p-values are **bit-identical** to exact
+  mode.
 * ``"adaptive"`` — batched scoring plus sequential early termination: a
   pair's permutation stream (identical to exact mode's, in the same
   order) is consumed in growing spans, and permuting stops as soon as the
@@ -64,6 +78,7 @@ from __future__ import annotations
 import threading
 import zlib
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +88,7 @@ from ..graph.domain_graph import DomainGraph
 from ..utils.errors import DataError
 from ..utils.rng import RngLike, ensure_rng
 from .features import FeatureSet
-from .relationship import evaluate_features
+from .relationship import _FLOAT32_EXACT, evaluate_features
 
 #: Significance level used throughout the paper (§5.3).
 DEFAULT_ALPHA = 0.05
@@ -262,50 +277,58 @@ def _rotation_scores(
 # ---------------------------------------------------------------------------
 
 
-def toroidal_map(neighbors: list[np.ndarray], rng: np.random.Generator) -> np.ndarray:
+def toroidal_map(
+    neighbors: Sequence[Sequence[int]], rng: np.random.Generator
+) -> np.ndarray:
     """One adjacency-respecting random bijection of the region graph.
 
     Starts from a random seed assignment ``m(u0) = v0`` and grows breadth-
     first: each unassigned neighbour of ``u`` is mapped onto an unused
     neighbour of ``m(u)`` when one exists (preserving adjacency), otherwise
     onto a random unused region.  The result is always a permutation.
+
+    ``neighbors`` lists each region's adjacent regions; plain lists of ints
+    are fastest (the walk is interpreted), arrays work too.
     """
     n = len(neighbors)
-    image = np.full(n, -1, dtype=np.int64)
-    used = np.zeros(n, dtype=bool)
+    image = [-1] * n
+    used = [False] * n
     start = int(rng.integers(n))
     target = int(rng.integers(n))
     image[start] = target
     used[target] = True
     queue: deque[int] = deque([start])
-    order = rng.permutation(n)
+    order = rng.permutation(n).tolist()
+    cursor = 0
+
+    def first_free() -> int:
+        # ``used`` only grows, so the first free entry of ``order`` only
+        # moves right: the cursor never rescans what it has passed.
+        nonlocal cursor
+        while used[order[cursor]]:
+            cursor += 1
+        return order[cursor]
+
+    def assign(un: int, choice: int) -> None:
+        image[un] = choice
+        used[choice] = True
+
     while queue:
         u = queue.popleft()
-        v = int(image[u])
+        around = neighbors[image[u]]
         for un in neighbors[u]:
-            un = int(un)
             if image[un] >= 0:
                 continue
-            candidates = [int(vn) for vn in neighbors[v] if not used[vn]]
+            candidates = [vn for vn in around if not used[vn]]
             if candidates:
-                choice = candidates[int(rng.integers(len(candidates)))]
+                assign(un, candidates[int(rng.integers(len(candidates)))])
             else:
-                choice = _first_free(used, order)
-            image[un] = choice
-            used[choice] = True
+                assign(un, first_free())
             queue.append(un)
-    for un in np.flatnonzero(image < 0):
-        choice = _first_free(used, order)
-        image[int(un)] = choice
-        used[choice] = True
-    return image
-
-
-def _first_free(used: np.ndarray, order: np.ndarray) -> int:
-    for v in order:
-        if not used[v]:
-            return int(v)
-    raise DataError("toroidal map ran out of free vertices")  # pragma: no cover
+    for un in range(n):  # regions the walk never reached
+        if image[un] < 0:
+            assign(un, first_free())
+    return np.array(image, dtype=np.int64)
 
 
 def adjacency_preservation(neighbors: list[np.ndarray], image: np.ndarray) -> float:
@@ -326,35 +349,69 @@ def adjacency_preservation(neighbors: list[np.ndarray], image: np.ndarray) -> fl
     return kept / total if total else 1.0
 
 
+@dataclass
+class _ToroidalFamily:
+    """The shifts built so far for one region graph, and the generator that
+    builds the next one."""
+
+    neighbors: list[list[int]]
+    rng: np.random.Generator
+    maps: np.ndarray
+
+
 #: Domain-level cache of toroidal-shift families.  §4 defines the |m| shifts
 #: as randomizations of the *spatial domain*, so one family per region graph
 #: is both faithful and fast: reusing the same permutations across function
-#: pairs is the standard formulation of a permutation test.  The lock makes
-#: the cache safe under the thread executor: parallel query map tasks over
-#: the same region graph share one deterministically-seeded family instead
-#: of racing to build (and evict) their own.
-_TOROIDAL_CACHE: dict[tuple, np.ndarray] = {}
+#: pairs is the standard formulation of a permutation test.  A family is
+#: seeded by the graph's content only, so it is keyed by that alone: a
+#: smaller request is a prefix of what is cached and a larger one extends
+#: it.  The lock makes the cache safe under the thread executor.
+_TOROIDAL_CACHE: dict[tuple[int, bytes], _ToroidalFamily] = {}
 _TOROIDAL_CACHE_LIMIT = 32
 _TOROIDAL_CACHE_LOCK = threading.Lock()
 
 
+def region_graph_key(
+    graph: DomainGraph, memo: dict[int, tuple[int, bytes]] | None = None
+) -> tuple[int, bytes]:
+    """What a toroidal-shift family is a function of: the region count and
+    the adjacency pairs' content.  A query's functions keep one graph object
+    each and meet many partners, so callers that walk candidates pass a
+    ``memo`` (keyed by graph identity, for graphs they keep alive) and
+    serialize each graph once."""
+    if memo is None:
+        return graph.n_regions, graph.spatial_pairs.tobytes()
+    key = memo.get(id(graph))
+    if key is None:
+        key = memo[id(graph)] = region_graph_key(graph)
+    return key
+
+
 def domain_toroidal_maps(graph: DomainGraph, n_maps: int) -> np.ndarray:
-    """The cached family of ``n_maps`` toroidal shifts of a region graph."""
-    key = (
-        graph.n_regions,
-        graph.spatial_pairs.tobytes(),
-        int(n_maps),
-    )
+    """The first ``n_maps`` toroidal shifts of a region graph's family.
+
+    Read-only, shape ``(n_maps, n_regions)``; repeated calls for the count
+    that is cached return the same array object.
+    """
+    key = region_graph_key(graph)
+    n_regions = graph.n_regions
     with _TOROIDAL_CACHE_LOCK:
-        cached = _TOROIDAL_CACHE.get(key)
-        if cached is None:
-            neighbors = [graph.region_neighbors(r) for r in range(graph.n_regions)]
-            rng = ensure_rng(zlib.crc32(key[1]) + graph.n_regions)
-            cached = np.stack([toroidal_map(neighbors, rng) for _ in range(n_maps)])
+        family = _TOROIDAL_CACHE.get(key)
+        if family is None:
             if len(_TOROIDAL_CACHE) >= _TOROIDAL_CACHE_LIMIT:
                 _TOROIDAL_CACHE.pop(next(iter(_TOROIDAL_CACHE)))
-            _TOROIDAL_CACHE[key] = cached
-    return cached
+            family = _TOROIDAL_CACHE[key] = _ToroidalFamily(
+                [graph.region_neighbors(r).tolist() for r in range(n_regions)],
+                ensure_rng(zlib.crc32(key[1]) + n_regions),
+                np.empty((0, n_regions), dtype=np.int64),
+            )
+        missing = n_maps - len(family.maps)
+        if missing > 0:
+            grown = [toroidal_map(family.neighbors, family.rng) for _ in range(missing)]
+            family.maps = np.concatenate([family.maps, grown])
+            family.maps.flags.writeable = False
+        maps = family.maps
+    return maps if len(maps) == n_maps else maps[:n_maps]
 
 
 def _toroidal_scores(
@@ -477,6 +534,14 @@ def _naive_scores(
 #: at most ~2x the permutations it minimally needed.
 _ADAPTIVE_FIRST_SPAN = 32
 
+#: Most elements of one transient array inside the group kernels: the
+#: co-occurrence products and the per-span gathers run in slabs of this
+#: size, so a group's peak memory is its per-function masks plus its
+#: co-occurrence table, not a multiple of either.  Measured on the ledger's
+#: urban query: 2**16 is a quarter slower (four shifts per gather at 128
+#: pairs x 64 regions), 2**20 no faster and 6 MB heavier per worker.
+_SLAB_ELEMENTS = 2**18
+
 
 @dataclass(frozen=True)
 class SignificanceRequest:
@@ -484,7 +549,10 @@ class SignificanceRequest:
 
     ``observed`` lets callers that already computed the relationship score
     (e.g. while filtering candidates) skip the recompute; ``None`` means
-    re-evaluate, exactly as :func:`significance_test` does.
+    re-evaluate, exactly as :func:`significance_test` does.  ``maps`` lets
+    a caller that already holds the toroidal-shift family of ``graph``
+    (:func:`domain_toroidal_maps`, at least as many shifts as will be
+    requested) hand it over, so that a worker process never builds it.
     """
 
     fs1: FeatureSet
@@ -493,6 +561,7 @@ class SignificanceRequest:
     seed: RngLike = None
     method: str | None = None
     observed: float | None = None
+    maps: np.ndarray | None = None
 
 
 def _adaptive_spans(n_avail: int) -> list[tuple[int, int]]:
@@ -564,12 +633,14 @@ def significance_batch(
     """Vectorized permutation tests for a chunk of pairs at once.
 
     Returns one :class:`SignificanceResult` per request, in order.  Pairs
-    are grouped by method and domain shape: rotation pairs share stacked
-    FFT passes, toroidal pairs over the same region graph share batched
-    co-occurrence matmuls and a single gather per span.  ``mode="batched"``
-    is bit-identical to per-pair exact results; ``mode="adaptive"`` adds
-    early termination that provably preserves every ``is_significant(alpha)``
-    decision (see :func:`_decided`).
+    are grouped by method and domain shape: rotation pairs share one FFT
+    per distinct mask, toroidal pairs over the same region graph share the
+    per-function signed masks and a single gather per span.  A pair's result
+    depends on nothing but the pair: any order and any split of the request
+    list gives the same results.  ``mode="batched"`` is bit-identical to
+    per-pair exact results; ``mode="adaptive"`` adds early termination that
+    provably preserves every ``is_significant(alpha)`` decision (see
+    :func:`_decided`).
     """
     if alternative not in _ALTERNATIVES:
         raise DataError(f"unknown alternative {alternative!r}")
@@ -579,6 +650,7 @@ def significance_batch(
     rotation_groups: dict[tuple[int, int], list[tuple[int, str]]] = {}
     toroidal_groups: dict[tuple[int, int, bytes], list[int]] = {}
     stream_items: list[tuple[int, str]] = []
+    graph_keys: dict[int, tuple[int, bytes]] = {}
     for idx, request in enumerate(requests):
         if request.fs1.shape != request.fs2.shape:
             raise DataError("feature sets must be aligned before testing")
@@ -604,7 +676,7 @@ def significance_batch(
             # the exact path) but keep their requested method label.
             rotation_groups.setdefault((n_steps, n_regions), []).append((idx, method))
         elif method == "spatial_toroidal":
-            key = (n_steps, n_regions, request.graph.spatial_pairs.tobytes())
+            key = (n_steps, *region_graph_key(request.graph, graph_keys))
             toroidal_groups.setdefault(key, []).append(idx)
         else:
             stream_items.append((idx, method))
@@ -615,6 +687,8 @@ def significance_batch(
         n_requests=len(requests),
         mode=mode,
         n_groups=len(rotation_groups) + len(toroidal_groups) + len(stream_items),
+        n_pairs=len({(id(r.fs1), id(r.fs2)) for r in requests}),
+        n_functions=len({id(fs) for r in requests for fs in (r.fs1, r.fs2)}),
     ):
         for items in rotation_groups.values():
             _run_rotation_group(
@@ -631,6 +705,31 @@ def significance_batch(
     return results  # type: ignore[return-value]
 
 
+def _distinct_features(
+    reqs: list[SignificanceRequest],
+) -> tuple[list[FeatureSet], list[int], list[int]]:
+    """The distinct feature sets of ``reqs`` (by identity) and, per request,
+    where its two sides sit among them."""
+    slots: dict[int, int] = {}
+    distinct: list[FeatureSet] = []
+    sides: tuple[list[int], list[int]] = ([], [])
+    for request in reqs:
+        for side, fs in zip(sides, (request.fs1, request.fs2)):
+            slot = slots.get(id(fs))
+            if slot is None:
+                slot = slots[id(fs)] = len(distinct)
+                distinct.append(fs)
+            side.append(slot)
+    return distinct, *sides
+
+
+def _signed(fs: FeatureSet, dtype: type) -> tuple[np.ndarray, np.ndarray]:
+    """``D = P − N`` and ``U = P ∨ N`` of one feature set, as ``dtype``."""
+    positive = fs.positive.view(np.int8)
+    negative = fs.negative.view(np.int8)
+    return (positive - negative).astype(dtype), (positive | negative).astype(dtype)
+
+
 def _run_rotation_group(
     requests: list[SignificanceRequest],
     items: list[tuple[int, str]],
@@ -639,67 +738,96 @@ def _run_rotation_group(
     mode: str,
     results: list[SignificanceResult | None],
 ) -> None:
-    """Stacked-FFT rotation scores for all pairs sharing one domain shape.
+    """Rotation scores of all pairs sharing one domain shape.
 
+    One real FFT per distinct signed mask and union mask; per pair the two
+    circular cross-correlations ``D1 ⋆ D2`` and ``U1 ⋆ U2`` are one spectrum
+    product each, summed over regions before the single inverse transform
+    (the transform is linear) and rounded back to the exact integers.
     Rotations already evaluate every shift in a single pass, so adaptive
     mode has nothing to truncate here: all three modes agree bit-for-bit.
     """
     reqs = [requests[idx] for idx, _ in items]
-    n_steps = reqs[0].fs1.shape[0]
-    if n_steps < 2:
-        empty = np.zeros(0)
-        for idx, label in items:
-            observed = _request_observed(requests[idx])
-            results[idx] = SignificanceResult(
-                p_value=_p_value(observed, empty, alternative),
-                observed_score=observed,
-                n_permutations=0,
-                method=label,
-                alternative=alternative,
-                mode=mode,
-            )
-        return
-    p1 = np.stack([r.fs1.positive for r in reqs])
-    n1 = np.stack([r.fs1.negative for r in reqs])
-    u1 = np.stack([r.fs1.union() for r in reqs])
-    p2 = np.stack([r.fs2.positive for r in reqs])
-    n2 = np.stack([r.fs2.negative for r in reqs])
-    u2 = np.stack([r.fs2.union() for r in reqs])
-    pp = _stacked_cross_correlation(p1, p2)
-    nn = _stacked_cross_correlation(n1, n2)
-    pn = _stacked_cross_correlation(p1, n2)
-    np_ = _stacked_cross_correlation(n1, p2)
-    sigma = _stacked_cross_correlation(u1, u2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tau = np.where(sigma > 0, (pp + nn - pn - np_) / np.maximum(sigma, 1), 0.0)
-    tau = tau[:, 1:]  # k = 0 is the observed configuration
-    for j, (idx, label) in enumerate(items):
-        request = requests[idx]
-        all_scores = tau[j]
-        if all_scores.size > n_permutations:
-            rng = ensure_rng(request.seed)
-            chosen = rng.choice(all_scores.size, size=n_permutations, replace=False)
-            scores = all_scores[chosen]
-        else:
-            scores = all_scores
-        observed = _request_observed(request)
+    n_steps, n_regions = reqs[0].fs1.shape
+    observed = np.array([_request_observed(r) for r in reqs])
+
+    def emit(j: int, p_value: float, n_run: int) -> None:
+        idx, label = items[j]
         results[idx] = SignificanceResult(
-            p_value=_p_value(observed, scores, alternative),
-            observed_score=observed,
-            n_permutations=int(scores.size),
+            p_value=p_value,
+            observed_score=float(observed[j]),
+            n_permutations=n_run,
             method=label,
             alternative=alternative,
             mode=mode,
         )
 
+    if n_steps < 2:
+        empty = np.zeros(0)
+        for j in range(len(reqs)):
+            emit(j, _p_value(float(observed[j]), empty, alternative), 0)
+        return
 
-def _stacked_cross_correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`_cross_correlation_counts` for a (P, T, R) stack of mask pairs."""
-    m = a.shape[1]
-    fa = np.fft.rfft(a.astype(np.float64), axis=1)
-    fb = np.fft.rfft(b.astype(np.float64), axis=1)
-    corr = np.fft.irfft(fa * np.conj(fb), n=m, axis=1).sum(axis=2)
-    return np.rint(corr).astype(np.int64)
+    distinct, side1, side2 = _distinct_features(reqs)
+    # (function, D|U, frequency, region)
+    spectrum = np.fft.rfft(
+        np.array([_signed(fs, np.float64) for fs in distinct]), axis=2
+    )
+    first, second = np.array(side1), np.array(side2)
+    tau = np.empty((len(reqs), n_steps))
+    slab = max(1, _SLAB_ELEMENTS // (2 * spectrum.shape[2] * n_regions))
+    for lo in range(0, len(reqs), slab):
+        product = spectrum[first[lo : lo + slab]] * np.conj(
+            spectrum[second[lo : lo + slab]]
+        )
+        counts = np.rint(np.fft.irfft(product.sum(axis=3), n=n_steps, axis=2))
+        numerator, sigma = counts[:, 0], counts[:, 1]
+        tau[lo : lo + slab] = np.where(
+            sigma > 0, numerator / np.maximum(sigma, 1), 0.0
+        )
+    tau = tau[:, 1:]  # k = 0 is the observed configuration
+
+    n_shifts = n_steps - 1
+    if n_shifts <= n_permutations:  # the whole population: no draw, no loop
+        hits = _hits_against(observed, tau, alternative)
+        for j in range(len(reqs)):
+            emit(j, float((1 + hits[j]) / (n_shifts + 1)), n_shifts)
+        return
+    for j, request in enumerate(reqs):
+        rng = ensure_rng(request.seed)
+        chosen = rng.choice(n_shifts, size=n_permutations, replace=False)
+        emit(
+            j,
+            _p_value(float(observed[j]), tau[j, chosen], alternative),
+            n_permutations,
+        )
+
+
+def _cooccurrence_table(reqs: list[SignificanceRequest], dtype: type) -> np.ndarray:
+    """Numerator and denominator matrices of every pair, as columns.
+
+    Column ``j`` is pair j's ``D1ᵀ·D2`` and column ``len(reqs) + j`` its
+    ``U1ᵀ·U2``, both raveled, so row ``s · R + r`` holds what a shift that
+    sends region ``r`` to ``s`` contributes for ``r``.
+    """
+    n_pairs = len(reqs)
+    n_regions = reqs[0].fs1.shape[1]
+    cells = n_regions * n_regions
+    distinct, side1, side2 = _distinct_features(reqs)
+    signed = [_signed(fs, dtype) for fs in distinct]
+    table = np.empty((cells, 2 * n_pairs), dtype=dtype)
+    slab = min(n_pairs, max(1, _SLAB_ELEMENTS // (2 * cells)))
+    products = np.empty((2, slab, n_regions, n_regions), dtype=dtype)
+    for lo in range(0, n_pairs, slab):
+        hi = min(lo + slab, n_pairs)
+        for j in range(lo, hi):
+            one, two = signed[side1[j]], signed[side2[j]]
+            np.dot(one[0].T, two[0], out=products[0, j - lo])
+            np.dot(one[1].T, two[1], out=products[1, j - lo])
+        raveled = products[:, : hi - lo].reshape(2, hi - lo, cells)
+        table[:, lo:hi] = raveled[0].T
+        table[:, n_pairs + lo : n_pairs + hi] = raveled[1].T
+    return table
 
 
 def _run_toroidal_group(
@@ -713,39 +841,35 @@ def _run_toroidal_group(
 ) -> None:
     """Batched toroidal-shift scores for pairs sharing one region graph.
 
-    The five per-pair co-occurrence matrices collapse into a numerator and
-    denominator stack (all entries exact integers in float64), so each span
-    of shifts costs two gathers for the whole group instead of five per
-    pair.  Adaptive mode drops decided pairs from the stack between spans;
-    the cached map family is seeded by graph content only, so its first
-    ``n`` maps are the same for any requested count and every pair consumes
-    the identical permutation stream exact mode would.
+    Per pair the numerator matrix is ``D1ᵀ·D2`` and the denominator matrix
+    ``U1ᵀ·U2`` (see *Signed kernels* in the module docstring); both are
+    kept as columns of one table indexed by ``r_image · R + r``, so a span
+    of shifts is one row gather through ``maps · R + r`` and one sum over
+    the regions for the whole group.  Adaptive mode drops decided pairs'
+    columns between spans; a family's first ``n`` maps are the same for any
+    requested count, so every pair consumes the identical permutation
+    stream exact mode would.
     """
     reqs = [requests[i] for i in idxs]
-    graph = reqs[0].graph
-    maps = domain_toroidal_maps(graph, n_permutations)
-    n_regions = reqs[0].fs1.shape[1]
-
-    def cooc(a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
-        sa = np.stack(a).astype(np.float64)
-        sb = np.stack(b).astype(np.float64)
-        return sa.transpose(0, 2, 1) @ sb
-
-    p1 = [r.fs1.positive for r in reqs]
-    n1 = [r.fs1.negative for r in reqs]
-    u1 = [r.fs1.union() for r in reqs]
-    p2 = [r.fs2.positive for r in reqs]
-    n2 = [r.fs2.negative for r in reqs]
-    u2 = [r.fs2.union() for r in reqs]
-    num = cooc(p1, p2) + cooc(n1, n2) - cooc(p1, n2) - cooc(n1, p2)
-    den = cooc(u1, u2)
-
-    observed = np.array([_request_observed(r) for r in reqs])
+    # A family is a function of the group's region graph: one request's
+    # hand-over stands for the group.
+    maps = reqs[0].maps
+    if maps is None:
+        maps = domain_toroidal_maps(reqs[0].graph, n_permutations)
+    elif len(maps) < n_permutations:
+        raise DataError(
+            f"handed-over family holds {len(maps)} shifts, {n_permutations} requested"
+        )
+    n_steps, n_regions = reqs[0].fs1.shape
     n_pairs = len(reqs)
+    dtype = np.float32 if n_steps * n_regions < _FLOAT32_EXACT else np.float64
+    table = _cooccurrence_table(reqs, dtype)
+
+    image_cells = maps[:n_permutations] * n_regions + np.arange(n_regions)
+    observed = np.array([_request_observed(r) for r in reqs])
     hits = np.zeros(n_pairs, dtype=np.int64)
     done = np.zeros(n_pairs, dtype=np.int64)
     alive = np.arange(n_pairs)
-    regions = np.arange(n_regions)
     spans = (
         _adaptive_spans(n_permutations)
         if mode == "adaptive"
@@ -754,15 +878,24 @@ def _run_toroidal_group(
     for lo, hi in spans:
         if alive.size == 0:
             break
-        rows = maps[lo:hi]
-        num_g = num[alive][:, rows, regions].sum(axis=2)
-        den_g = den[alive][:, rows, regions].sum(axis=2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scores = np.where(den_g > 0, num_g / np.maximum(den_g, 1), 0.0)
-        hits[alive] += _hits_against(observed[alive], scores, alternative)
+        sums = np.empty((hi - lo, 2 * alive.size), dtype=dtype)
+        slab = max(1, _SLAB_ELEMENTS // (n_regions * 2 * alive.size))
+        for row in range(lo, hi, slab):
+            stop = min(row + slab, hi)
+            gathered = table.take(image_cells[row:stop].ravel(), axis=0)
+            gathered.reshape(stop - row, n_regions, -1).sum(
+                axis=1, out=sums[row - lo : stop - lo]
+            )
+        sums = sums.astype(np.float64, copy=False)
+        numerator, sigma = sums[:, : alive.size], sums[:, alive.size :]
+        scores = np.where(sigma > 0, numerator / np.maximum(sigma, 1), 0.0)
+        hits[alive] += _hits_against(observed[alive], scores.T, alternative)
         done[alive] = hi
         if mode == "adaptive" and hi < n_permutations:
-            alive = alive[~_decided(hits[alive], hi, n_permutations, alpha)]
+            keep = ~_decided(hits[alive], hi, n_permutations, alpha)
+            if not keep.all():
+                alive = alive[keep]
+                table = table[:, np.tile(keep, 2)]
 
     for j, idx in enumerate(idxs):
         p = float((1 + hits[j]) / (done[j] + 1))

@@ -12,13 +12,20 @@ hop to another OS process and the spool/socket artifact plane.
 """
 
 import random
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import corpus as corpus_module
+from repro.core import significance
+from repro.core.clause import Clause
 from repro.core.corpus import Corpus
+from repro.core.operator import domain_chunks, enumerate_pair_tasks
 from repro.mapreduce.engine import LocalEngine, ShuffleFolder
 from repro.mapreduce.job import MapReduceJob
 from repro.spatial.city import CityModel
@@ -27,6 +34,9 @@ from repro.data.schema import DatasetSchema
 from repro.spatial.resolution import SpatialResolution
 from repro.temporal.resolution import TemporalResolution
 from repro.utils.errors import MapReduceError
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "core"))
+from _reference_relation import reference_relation  # noqa: E402
 
 HOUR = 3600
 
@@ -207,7 +217,95 @@ class TestCorpusParallelEquivalence:
         )
         assert result.job_stats is not None
         assert result.job_stats.n_map_chunks >= 1
-        assert len(result.job_stats.reduce_task_seconds) == len(result.reports)
+        # One reducer per data set pair that has a survivor to reassemble.
+        assert result.n_significant >= 1
+        assert len(result.job_stats.reduce_task_seconds) == sum(
+            bool(report.results) for report in result.reports
+        )
+
+
+class TestDomainChunksAcrossExecutors:
+    """A query's map tasks are domain chunks: candidates of many data set
+    pairs in one task, which therefore emits to several reducers, and the
+    region graph's toroidal-shift family travelling with them."""
+
+    SETTINGS = dict(n_permutations=60, seed=5)
+
+    @pytest.fixture(scope="class")
+    def expected_reports(self, small_urban_index):
+        datasets = small_urban_index.datasets
+        names = sorted(datasets)
+        return {
+            (a, b): reference_relation(datasets[a], datasets[b], **self.SETTINGS)
+            for i, a in enumerate(names)
+            for b in names[i + 1 :]
+        }
+
+    @staticmethod
+    def by_pair(result):
+        return {(r.dataset1, r.dataset2): r for r in result.reports}
+
+    def test_one_chunk_spans_several_data_set_pairs(self, small_urban_index):
+        names = sorted(small_urban_index.datasets)
+        pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+        plans = enumerate_pair_tasks(
+            small_urban_index.datasets, pairs, set(names), Clause(), 5, None
+        )
+        chunks = domain_chunks(plans, 60, "batched")
+        spans = [
+            (maps is not None, len({(t.dataset1, t.dataset2) for t in tasks}))
+            for _key, (tasks, maps) in chunks
+        ]
+        # Both kinds of domain: toroidal (family attached) and rotation.
+        assert max(n for spatial, n in spans if spatial) >= 3
+        assert max(n for spatial, n in spans if not spatial) >= 3
+        assert len(chunks) < len(pairs)
+
+    def test_all_pairs_query_equals_the_per_pair_reference(
+        self, small_urban_index, expected_reports, parallel_kwargs
+    ):
+        for mode in ("exact", "batched"):
+            result = small_urban_index.query(
+                significance_mode=mode, **self.SETTINGS, **parallel_kwargs
+            )
+            assert self.by_pair(result) == expected_reports
+            assert result.n_significant >= 5
+
+    def test_all_pairs_query_under_the_environment_s_executor(
+        self, small_urban_index, expected_reports
+    ):
+        # No engine argument: the process and cluster CI replays steer this
+        # one through $REPRO_EXECUTOR.
+        result = small_urban_index.query(significance_mode="batched", **self.SETTINGS)
+        assert self.by_pair(result) == expected_reports
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("mode", ["batched", "adaptive"])
+    def test_map_tasks_never_build_a_family(self, small_urban_index, executor, mode):
+        # The serial run leaves the driver's cache holding the family.
+        serial = small_urban_index.query(significance_mode=mode, **self.SETTINGS)
+        real = corpus_module.evaluate_pair_chunk
+
+        def in_a_worker_that_holds_no_family(*args, **kwargs):
+            significance._TOROIDAL_CACHE.clear()
+            return real(*args, **kwargs)
+
+        with (
+            mock.patch.dict(significance._TOROIDAL_CACHE),
+            mock.patch.object(
+                corpus_module, "evaluate_pair_chunk", in_a_worker_that_holds_no_family
+            ),
+            mock.patch.object(
+                significance,
+                "toroidal_map",
+                side_effect=AssertionError("a map task built a toroidal family"),
+            ),
+        ):
+            parallel = small_urban_index.query(
+                significance_mode=mode, n_workers=2, executor=executor, **self.SETTINGS
+            )
+        assert_query_results_identical(serial, parallel)
+        assert any(r.spatial is SpatialResolution.NEIGHBORHOOD for r in serial.results)
 
 
 class PartialSumJob(MapReduceJob):
